@@ -22,7 +22,7 @@ from .intervals import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, \
     inth_root_floor
 from .lattice import integer_kernel_basis, lll_reduce, shortest_kernel_vector
 from .pade import PadeApproximant, assemble, build_approximant, constraint_matrix, \
-    siegel_height_bound, small_kernel_vector
+    siegel_height_bound
 from .polynomial import Poly, SeriesTrunc, lcm_range, poly_divmod, poly_gcd, \
     product_height_bound
 from .quadratic import CFExpansion, QuadConvergent, ReductionReport, Theorem5Report, \
@@ -58,7 +58,7 @@ __all__ = [
     "poly_divmod", "poly_gcd", "pow_interval", "product_height_bound",
     "profile_with_expansion", "reduce_to_theorem1", "repetition_count",
     "repetition_profile", "replay_chain", "resolve_system", "scan_nearest",
-    "shortest_kernel_vector", "siegel_height_bound", "small_kernel_vector",
+    "shortest_kernel_vector", "siegel_height_bound",
     "theorem2_bound_check", "theorem2_convergent", "theorem5_scan",
     "value_producer", "verify_growth", "verify_theorem1", "zero_estimate_check",
 ]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
-from .intervals import IntervalReal, frac_nth_root
+from .intervals import IntervalReal, decide, frac_nth_root
 from .polynomial import Poly, SeriesTrunc, lcm_range
 from .ratfun import RatFunMatrix
 from .transcend import exp_frac
@@ -242,15 +242,11 @@ def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthR
 def _le_epower(value: int, sym: tuple[Fraction, Fraction], power: int, digits: int) -> bool:
     """Decide value <= (coef * e^e_exp)^power by escalating enclosures."""
     coef, e_exp = sym
-    while True:
-        iv = (coef ** power) * exp_frac(e_exp * power, digits)
-        if iv.lo >= value:
-            return True
-        if iv.hi < value:
-            return False
-        digits *= 2
-        if digits > 1 << 16:
-            raise InsufficientPrecisionError("growth comparison undecidable at cap")
+    le, _ = decide(lambda dg: (coef ** power) * exp_frac(e_exp * power, dg),
+                   lambda iv: iv.ge(value), digits)
+    if le is None:
+        raise InsufficientPrecisionError("growth comparison undecidable at cap")
+    return le
 
 
 # -- builtin families -------------------------------------------------------

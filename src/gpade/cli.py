@@ -21,7 +21,7 @@ from .errors import (DivisibilityError, HypothesisUnmetError, InsufficientDigits
                      InsufficientPrecisionError, InternalCertificateError,
                      KernelVectorError, NoConvergentTailBound, PreconditionError,
                      RankDeficiencyError)
-from .intervals import IntervalReal, frac_pow
+from .intervals import DEFAULT_DIGIT_CAP, IntervalReal, frac_pow, precision_cap
 from .pade import PadeApproximant, assemble, build_approximant
 from .quadratic import cf_sqrt, convergent_gap_check, pell_bound_check, \
     reduce_to_theorem1, theorem5_scan
@@ -61,8 +61,9 @@ LI2_DIGITS_50 = "10261779109939113111383736905723221370568993941926"
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--precision", type=int, default=64,
                     help="working decimal digits for interval refinement")
-    sp.add_argument("--max-precision", type=int, default=4096, dest="max_precision",
-                    help="escalation cap for certified comparisons")
+    sp.add_argument("--max-precision", type=int, default=DEFAULT_DIGIT_CAP,
+                    dest="max_precision",
+                    help="escalation cap (decimal digits) for every certified decision")
     sp.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -105,8 +106,10 @@ def _emit_approximant(w: ReportWriter, system_arg: str, system: GFunctionSystem,
     w.kv("height-Q", approx.height_Q)
     w.kv("siegel-bound", approx.siegel_bound)
     w.kv("siegel-ok", approx.siegel_ok)
-    ok = approx.Q.is_integral() and approx.denominator_cleared and approx.siegel_ok
-    w.status(STATUS_CERTIFIED if ok else STATUS_VIOLATED)
+    if not (approx.Q.is_integral() and approx.denominator_cleared) or approx.siegel_ok is False:
+        w.status(STATUS_VIOLATED)
+    else:
+        w.status(STATUS_CERTIFIED if approx.siegel_ok else STATUS_INDETERMINATE)
 
 
 def _approx_from_artifact(path: str) -> tuple[GFunctionSystem, str, PadeApproximant]:
@@ -425,7 +428,7 @@ def cmd_suite(args, echo: str) -> ReportWriter:
 
     # 2-7: the Pade grid with per-instance certificates
     grid = _acceptance_grid(quick)
-    order_fail = clearing_fail = siegel_fail = 0
+    order_fail = clearing_fail = siegel_fail = siegel_undecided = 0
     iter_fail = height_fail = remainder_fail = zero_fail = 0
     z_points = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 10),
                 Fraction(-1, 10), Fraction(1, 100)]
@@ -437,7 +440,9 @@ def cmd_suite(args, echo: str) -> ReportWriter:
             order_fail += 1
         if not approx.denominator_cleared:
             clearing_fail += 1
-        if not approx.siegel_ok:
+        if approx.siegel_ok is None:
+            siegel_undecided += 1
+        elif not approx.siegel_ok:
             siegel_fail += 1
             if len(first_failures) < 5:
                 first_failures.append(f"siegel {arg} p={p} q={q} h={h}")
@@ -477,6 +482,8 @@ def cmd_suite(args, echo: str) -> ReportWriter:
     w.kv("order-failures", order_fail)
     w.kv("clearing-failures", clearing_fail)
     w.kv("siegel-failures", siegel_fail)
+    if siegel_undecided:
+        w.kv("undecided", siegel_undecided)
     w.kv("iteration-failures", iter_fail)
     w.kv("height-bound-failures", height_fail)
     if not quick:
@@ -486,7 +493,8 @@ def cmd_suite(args, echo: str) -> ReportWriter:
         w.kv("first-failures", "; ".join(first_failures))
     grid_ok = (order_fail == clearing_fail == siegel_fail == iter_fail
                == height_fail == remainder_fail == zero_fail == 0)
-    w.status(STATUS_CERTIFIED if grid_ok else STATUS_VIOLATED)
+    w.status(STATUS_VIOLATED if not grid_ok
+             else STATUS_INDETERMINATE if siegel_undecided else STATUS_CERTIFIED)
 
     # 8: xi chain on the frozen property instances
     instances = CHAIN_INSTANCES[:3] if quick else CHAIN_INSTANCES
@@ -519,21 +527,23 @@ def cmd_suite(args, echo: str) -> ReportWriter:
     n_max = 40 if quick else 300
     t_list = (1, 2) if quick else (1, 2, 3)
     ds = expand_digits(value, 10, n_max + 12 * max(t_list) + 60)
-    provable_fail = strict_fail = 0
+    provable_fail = strict_fail = undecided = 0
     for t in t_list:
         for n in range(1, n_max + 1):
             conv = theorem2_convergent(ds, value, t, n)
-            if conv.holds_relaxed is not True:
-                provable_fail += 1
-            if conv.holds is not True:
-                strict_fail += 1
+            provable_fail += conv.holds_relaxed is False
+            strict_fail += conv.holds is False
+            undecided += None in (conv.holds, conv.holds_relaxed)
     w.record("suite-block-convergents")
     w.kv("n-max", n_max)
     w.kv("t-values", " ".join(str(t) for t in t_list))
     w.kv("provable-bound-failures", provable_fail)
     # the (b-1) numerator form fails on carry-boundary blocks; counted, not asserted
     w.kv("strict-bound-violations", strict_fail)
-    w.status(STATUS_CERTIFIED if provable_fail == 0 else STATUS_VIOLATED)
+    if undecided:
+        w.kv("undecided", undecided)
+    w.status(STATUS_VIOLATED if provable_fail
+             else STATUS_INDETERMINATE if undecided else STATUS_CERTIFIED)
 
     # 10: quadratic surds
     ds_list = (2, 3) if quick else (2, 3, 5, 7)
@@ -672,7 +682,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        writer = args.handler(args, " ".join([str(a) for a in argv]))
+        with precision_cap(args.max_precision):
+            writer = args.handler(args, " ".join([str(a) for a in argv]))
     except (PreconditionError, InsufficientDigitsError, NoConvergentTailBound,
             InsufficientPrecisionError, HypothesisUnmetError) as e:
         print(f"gpade: error: {e}", file=sys.stderr)

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .catalog import GFunctionSystem
+from .catalog import GFunctionSystem, _le_epower
 from .derivation import IteratedFamily
 from .errors import (HypothesisUnmetError, InsufficientPrecisionError,
                      PreconditionError)
-from .intervals import IntervalReal, frac_pow
+from .intervals import IntervalReal, decide, frac_pow, settled_floor
 from .pade import PadeApproximant
 from .polynomial import Poly
 from .transcend import exp_frac, exp_interval, log2_enclosure, log_frac, log_interval
@@ -150,7 +150,7 @@ def _log_sym(sym: Optional[tuple[Fraction, Fraction]], iv: IntervalReal,
 
 
 def _chain(sys: GFunctionSystem, digits: int):
-    """chi and the b-independent constants, plus reusable symbolic pieces."""
+    """chi (with its closed form) and the b-independent constant c6."""
     N, d = sys.N, sys.d
     H = sys.D_poly.height()
     C = sys.C
@@ -178,7 +178,7 @@ def _chain(sys: GFunctionSystem, digits: int):
     if e_total:
         c6 = c6 * exp_frac(e_total, g)
     c6 = c6.round_sig(digits + 2)
-    return chi, chi_sym, c6, (d_coef, d_exp)
+    return chi, chi_sym, c6
 
 
 def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
@@ -199,7 +199,7 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     N, d = sys.N, sys.d
     aa = abs(a)
 
-    chi, chi_sym, c6, _ = _chain(sys, digits)
+    chi, chi_sym, c6 = _chain(sys, digits)
     c2 = 3 * (N + 2)
     y = Fraction(1, 4 * (d + 1))
     c5 = max(config.h0, config.h1, config.h2, Fraction(8 * N * N * d ** 3), 4 * t)
@@ -228,12 +228,10 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     else:
         hyp_m_ok = None
 
-    schedule_ok = x.lo > N + 1
-    infeasible = x.hi <= N + 1
-    if not schedule_ok and not infeasible:
-        # straddle: escalate once before judging
-        return compute_constants(sys, a, b, t, m, config, digits * 2, allow_desk_scale)
-    if infeasible and not allow_desk_scale:
+    # x > N+1 iff b > (chi |a|)^{3(N+1)}: decided exactly when x's enclosure straddles
+    schedule_ok = x.lo > N + 1 or (
+        x.hi > N + 1 and not _le_epower(b, (chi_sym[0] * aa, chi_sym[1]), 3 * (N + 1), digits))
+    if not schedule_ok and not allow_desk_scale:
         raise HypothesisUnmetError(
             f"hypothesis (smallness of (c1|a|)^c2 against b) fails: x <= {N + 1}")
 
@@ -268,19 +266,13 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     return report
 
 
-def _floor_certified(producer, digits: int, cap_factor: int = 8) -> int:
+def _floor_certified(producer, digits: int) -> int:
     """floor of an interval-valued quantity, escalating until both endpoints agree."""
-    dg = digits
-    while True:
-        iv = producer(dg)
-        flo = iv.lo.numerator // iv.lo.denominator
-        fhi = iv.hi.numerator // iv.hi.denominator
-        if flo == fhi:
-            return flo
-        if dg >= digits * cap_factor:
-            raise InsufficientPrecisionError(
-                "floor undecided at precision cap (value too close to an integer)")
-        dg *= 2
+    floor, _ = decide(producer, settled_floor, digits)
+    if floor is None:
+        raise InsufficientPrecisionError(
+            "floor undecided at precision cap (value too close to an integer)")
+    return floor
 
 
 def _reference_c4(sys: GFunctionSystem, c4: IntervalReal,
@@ -304,7 +296,7 @@ def _reference_c4(sys: GFunctionSystem, c4: IntervalReal,
 
 
 def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
-                digits: int = DEFAULT_DIGITS, max_digits: int = 2048) -> Optional[bool]:
+                digits: int = DEFAULT_DIGITS) -> Optional[bool]:
     """Certified evaluation of the smallness hypothesis:
 
         2^{2(N+y)+(d-1)y} H^y (CD)^{(x+1)N/y} C^{N+dy} (C|a|/b)^{x+1-y} (bD)^{x+dy} beta < 1/2.
@@ -327,11 +319,10 @@ def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
     else:
         dg_coef, dg_exp = sys.Dgrowth_rat, Fraction(0)
 
-    dg = digits
-    while True:
+    def lhs_at(dg: int) -> IntervalReal:
         g = dg + 10
-        x = report.x if dg == digits else None
-        if x is None:
+        x = report.x
+        if dg != digits:
             # re-derive x at higher precision
             logb = log_frac(Fraction(b), g)
             log_chia = _log_sym((report.chi_sym[0] * aa, report.chi_sym[1]),
@@ -350,12 +341,7 @@ def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
         # (b*D)^{x+dy}
         log_bD = log_frac(b * dg_coef, g) + IntervalReal.point(dg_exp)
         lhs = lhs * exp_interval((x + d * y) * log_bD, g)
-        lhs = (lhs * report.beta).round_sig(g)
-        half = Fraction(1, 2)
-        if lhs.hi < half:
-            return True
-        if lhs.lo >= half:
-            return False
-        dg *= 2
-        if dg > max_digits:
-            return None
+        return (lhs * report.beta).round_sig(g)
+
+    verdict, _ = decide(lhs_at, lambda iv: iv.lt(Fraction(1, 2)), digits)
+    return verdict

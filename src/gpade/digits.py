@@ -26,7 +26,7 @@ from typing import Optional, Union
 from .catalog import GFunctionSystem
 from .constants import ConstantsConfig, compute_constants
 from .errors import InsufficientDigitsError, PreconditionError
-from .intervals import CertifiedReal, IntervalReal
+from .intervals import PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor
 from .transcend import log_frac
 from .verify import value_producer
 
@@ -77,13 +77,12 @@ def _expand_exact(value: Fraction, base: int, count: int) -> DigitString:
                        certified_len=count, exact=True)
 
 
-def expand_digits(value: Value, base: int, count: int,
-                  digit_cap: int = 1 << 14) -> DigitString:
+def expand_digits(value: Value, base: int, count: int) -> DigitString:
     """Certified expansion to `count` fractional digits.
 
     Exact rationals expand by long division (terminating values continue with
     zeros).  Certified values refine until the enclosure settles inside one
-    cell at depth `count`; if the cap is hit first, the returned
+    cell at depth `count`; if the precision cap is hit first, the returned
     certified_len is the deepest level that did settle.
     """
     if base < 2:
@@ -98,26 +97,16 @@ def expand_digits(value: Value, base: int, count: int,
     cell = Fraction(1, base ** (count + 1))
     while Fraction(1, 10 ** need) > cell:
         need += 1
-    digits_prec = need + 2
     scale = base ** count
-    while True:
-        iv = value.enclosure(min(digits_prec, digit_cap))
-        lo_scaled = iv.lo * scale
-        hi_scaled = iv.hi * scale
-        lo = lo_scaled.numerator // lo_scaled.denominator
-        hi = hi_scaled.numerator // hi_scaled.denominator
-        if lo == hi:
-            return _digits_from_floor(lo, base, count)
-        if digits_prec >= digit_cap:
-            # settle for the deepest level where the cell is unambiguous
-            for lvl in range(count - 1, 0, -1):
-                s = base ** lvl
-                flo = (iv.lo * s).numerator // (iv.lo * s).denominator
-                fhi = (iv.hi * s).numerator // (iv.hi * s).denominator
-                if flo == fhi:
-                    return _digits_from_floor(flo, base, lvl)
-            raise InsufficientDigitsError("no digit certifiable at precision cap")
-        digits_prec = min(digit_cap, digits_prec * 2)
+    floor, iv = decide(value.enclosure, lambda iv: settled_floor(iv * scale), need + 2)
+    if floor is not None:
+        return _digits_from_floor(floor, base, count)
+    # settle for the deepest level where the cell is unambiguous
+    for lvl in range(count - 1, 0, -1):
+        floor = settled_floor(iv * base ** lvl)
+        if floor is not None:
+            return _digits_from_floor(floor, base, lvl)
+    raise InsufficientDigitsError("no digit certifiable at precision cap")
 
 
 def _digits_from_floor(scaled_floor: int, base: int, count: int) -> DigitString:
@@ -169,8 +158,7 @@ class BlockConvergent:
     distance: IntervalReal
 
 
-def theorem2_convergent(ds: DigitString, value: Value, t: int, n: int,
-                        cap: int = 1 << 14) -> BlockConvergent:
+def theorem2_convergent(ds: DigitString, value: Value, t: int, n: int) -> BlockConvergent:
     """Build the block convergent p_n/q_n and certify the digit-match bounds."""
     count = repetition_count(ds, t, n)
     b = ds.base
@@ -185,38 +173,16 @@ def theorem2_convergent(ds: DigitString, value: Value, t: int, n: int,
 
     target = Fraction(p_n, q_n)
     if isinstance(value, (int, Fraction)):
-        dist = abs(Fraction(value) - target)
-        iv = IntervalReal.point(dist)
-        return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
-                               bound=bound, bound_relaxed=bound_relaxed,
-                               holds=dist <= bound, holds_relaxed=dist <= bound_relaxed,
-                               distance=iv)
-
-    digits = 24
-    holds = holds_relaxed = None
-    while True:
-        iv = abs(value.enclosure(digits) - target)
-        if holds is None:
-            if iv.hi <= bound:
-                holds = True
-            elif iv.lo > bound:
-                holds = False
-        if holds_relaxed is None:
-            if iv.hi <= bound_relaxed:
-                holds_relaxed = True
-            elif iv.lo > bound_relaxed:
-                holds_relaxed = False
-        if holds is not None and holds_relaxed is not None:
-            return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
-                                   bound=bound, bound_relaxed=bound_relaxed,
-                                   holds=holds, holds_relaxed=holds_relaxed,
-                                   distance=iv)
-        if digits >= cap:
-            return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
-                                   bound=bound, bound_relaxed=bound_relaxed,
-                                   holds=holds, holds_relaxed=holds_relaxed,
-                                   distance=iv)
-        digits *= 2
+        iv = IntervalReal.point(abs(Fraction(value) - target))
+    else:
+        # the enclosures are nested, so a bound decided once stays decided
+        _, iv = decide(lambda dg: abs(value.enclosure(dg) - target),
+                       lambda iv: None not in (iv.le(bound), iv.le(bound_relaxed)) or None,
+                       24)
+    return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
+                           bound=bound, bound_relaxed=bound_relaxed,
+                           holds=iv.le(bound), holds_relaxed=iv.le(bound_relaxed),
+                           distance=iv)
 
 
 @dataclass
@@ -260,19 +226,14 @@ def _empirical_exponent(ds: DigitString, value: CertifiedReal, samples: int) -> 
     logb = log_frac(Fraction(b), 12)
     for m in range(2, m_max + 1, step):
         near = ds.floor_scaled(m)
-        cands = [near, near + 1]
-        digits = 12
-        while True:
-            iv = value.enclosure(digits)
-            dists = [abs(iv - Fraction(c, b ** m)) for c in cands]
-            dist = min(dists, key=lambda d: d.lo)
-            if dist.lo > 0:
-                break
-            digits *= 2
-            if digits > 1 << 12:
-                dist = None
-                break
-        if dist is None:
+
+        def nearest_distance(dg: int) -> IntervalReal:
+            iv = value.enclosure(dg)
+            return min((abs(iv - Fraction(c, b ** m)) for c in (near, near + 1)),
+                       key=lambda d: d.lo)
+
+        ok, dist = decide(nearest_distance, lambda d: d.lo > 0 or None, 12)
+        if ok is None:
             continue
         # e = -log(dist) / (m log b), crude midpoint arithmetic
         ln = log_frac(dist.midpoint(), 12) if dist.midpoint() > 0 else None
@@ -288,14 +249,17 @@ def _empirical_exponent(ds: DigitString, value: CertifiedReal, samples: int) -> 
 def profile_with_expansion(value: Value, base: int, t: int,
                            window: tuple[int, int],
                            count: Optional[int] = None,
-                           max_count: int = 1 << 14) -> tuple[DigitString, RepetitionProfile]:
+                           max_count: Optional[int] = None) -> tuple[DigitString, RepetitionProfile]:
     """Expand far enough that every repetition count in the window certifies.
 
-    max_count stops the retry loop on values whose expansion is eventually
-    periodic (a repetition that never breaks cannot be counted).
+    max_count (default: the precision cap) stops the retry loop on values
+    whose expansion is eventually periodic (a repetition that never breaks
+    cannot be counted).
     """
     if count is None:
         count = window[1] + 4 * t + 16
+    if max_count is None:
+        max_count = PRECISION_CAP.get()
     cval = value if isinstance(value, CertifiedReal) else None
     while True:
         ds = expand_digits(value, base, count)
@@ -350,7 +314,7 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
     need1 = constants.c2 * log_c1a
     hyp1 = True if logbs.lo > need1.hi else False if logbs.hi <= need1.lo else None
     need2 = constants.c4 * 2 / eps * log_frac(Fraction(aa + 1), digits)
-    hyp2 = True if logbs.lo >= need2.hi else False if logbs.hi < need2.lo else None
+    hyp2 = logbs.ge(need2)
 
     return Theorem2Report(system_name=sys.name, a=a, b=b, s=s, t=t, eps=eps,
                           window=window, profile=profile,

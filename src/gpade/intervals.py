@@ -7,14 +7,22 @@ size for width, always outward, so containment is never lost.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
 
 Scalar = Union[int, Fraction]
 
 DEFAULT_DIGIT_CAP = 4096
+
+# the one escalation cap: no certified decision works at more decimal digits
+PRECISION_CAP: ContextVar[int] = ContextVar("precision_cap", default=DEFAULT_DIGIT_CAP)
+
+R = TypeVar("R")
+V = TypeVar("V")
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -212,6 +220,21 @@ class IntervalReal:
         other = self._coerce(other)
         return self.lo >= other.hi
 
+    # tristate comparisons of every point of self with every point of other:
+    # True or False when all pairs agree, None when the enclosures overlap
+
+    def ge(self, other) -> Optional[bool]:
+        other = self._coerce(other)
+        return True if self.lo >= other.hi else False if self.hi < other.lo else None
+
+    def lt(self, other) -> Optional[bool]:
+        ge = self.ge(other)
+        return None if ge is None else not ge
+
+    def le(self, other) -> Optional[bool]:
+        other = self._coerce(other)
+        return True if self.hi <= other.lo else False if self.lo > other.hi else None
+
     def certainly_nonzero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 
@@ -276,28 +299,66 @@ def frac_nth_root_rel(f: Fraction, n: int, sig: int) -> IntervalReal:
     return IntervalReal(Fraction(lo, scale), Fraction(hi, scale))
 
 
+@contextmanager
+def precision_cap(n: int) -> Iterator[None]:
+    """Run the block with `n` decimal digits as the escalation cap of `decide`."""
+    if n < 1:
+        raise PreconditionError(f"precision cap must be >= 1, got {n}")
+    token = PRECISION_CAP.set(n)
+    try:
+        yield
+    finally:
+        PRECISION_CAP.reset(token)
+
+
+def decide(produce: Callable[[int], R], verdict: Callable[[R], Optional[V]],
+           start: int) -> tuple[Optional[V], R]:
+    """The one precision-escalation loop of the package.
+
+    Calls produce(d) at d = start, 2 start, 4 start, ..., clamped to the
+    precision cap, and returns (verdict(result), result) at the first verdict
+    that is not None, or (None, last result) once d has reached the cap.  No
+    call ever asks for more digits than the cap.
+    """
+    cap = PRECISION_CAP.get()
+    d = min(start, cap)
+    while True:
+        result = produce(d)
+        answer = verdict(result)
+        if answer is not None or d >= cap:
+            return answer, result
+        d = min(2 * d, cap)
+
+
+def settled_floor(iv: IntervalReal) -> Optional[int]:
+    """floor of every point of `iv` when they all share it, else None."""
+    lo = iv.lo.numerator // iv.lo.denominator
+    return lo if lo == iv.hi.numerator // iv.hi.denominator else None
+
+
 Producer = Callable[[int], IntervalReal]
 
 
 class CertifiedReal:
     """A real number backed by a producer: digits -> enclosure of width <= 10^-digits.
 
-    Successive enclosures are intersected, so refinement never widens.
+    Successive enclosures are intersected, so refinement never widens.  No
+    enclosure is produced beyond the precision cap.
     """
 
-    def __init__(self, producer: Producer, name: str = "", digit_cap: int = DEFAULT_DIGIT_CAP):
+    def __init__(self, producer: Producer, name: str = ""):
         self._producer = producer
         self.name = name
-        self.digit_cap = digit_cap
         self._best: Optional[IntervalReal] = None
         self._best_digits = 0
 
     def enclosure(self, digits: int) -> IntervalReal:
         if self._best is not None and self._best_digits >= digits:
             return self._best
-        if digits > self.digit_cap:
+        if digits > PRECISION_CAP.get():
             raise InsufficientPrecisionError(
-                f"requested {digits} digits exceeds cap {self.digit_cap} for {self.name or 'value'}")
+                f"requested {digits} digits exceeds cap {PRECISION_CAP.get()} "
+                f"for {self.name or 'value'}")
         fresh = self._producer(digits)
         if self._best is not None:
             fresh = fresh.intersect(self._best)
@@ -306,18 +367,15 @@ class CertifiedReal:
         return fresh
 
     def refine(self, width: Fraction) -> IntervalReal:
-        """Smallest cached enclosure with width <= `width` (escalates the producer)."""
+        """Cached enclosure of width <= `width`, escalating the producer as needed."""
         width = _frac(width)
         if width <= 0:
             raise PreconditionError("target width must be positive")
-        digits = max(1, self._best_digits or 1)
-        iv = self.enclosure(digits)
-        while iv.width > width:
-            if digits >= self.digit_cap:
-                raise InsufficientPrecisionError(
-                    f"cannot reach width {width} within digit cap {self.digit_cap}")
-            digits = min(self.digit_cap, max(digits * 2, _width_digits(width) + 1))
-            iv = self.enclosure(digits)
+        ok, iv = decide(self.enclosure, lambda iv: iv.width <= width or None,
+                        max(self._best_digits, _width_digits(width) + 1))
+        if ok is None:
+            raise InsufficientPrecisionError(
+                f"cannot reach width {width} within precision cap {PRECISION_CAP.get()}")
         return iv
 
 
@@ -329,9 +387,3 @@ def _width_digits(width: Fraction) -> int:
         w /= 10
         d += 1
     return d
-
-
-def interval_refine(producer: Producer, width: Fraction, name: str = "",
-                    digit_cap: int = DEFAULT_DIGIT_CAP) -> IntervalReal:
-    """One-shot refinement of a producer to a target width."""
-    return CertifiedReal(producer, name=name, digit_cap=digit_cap).refine(width)

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .catalog import GFunctionSystem
 from .errors import KernelVectorError, PreconditionError
-from .intervals import IntervalReal, frac_pow
+from .intervals import IntervalReal, decide, frac_pow
 from .lattice import shortest_kernel_vector
 from .polynomial import Poly, SeriesTrunc
 from .transcend import exp_frac
@@ -58,11 +58,6 @@ def constraint_matrix(sys: GFunctionSystem, p: int, q: int, h: int) -> list[list
     return rows
 
 
-def small_kernel_vector(matrix: list[list[int]], ncols: Optional[int] = None) -> list[int]:
-    """Deterministic small nonzero integer kernel vector of the order conditions."""
-    return shortest_kernel_vector(matrix, ncols)
-
-
 def siegel_height_bound(sys: GFunctionSystem, p: int, q: int, h: int,
                         digits: int = 32) -> IntervalReal:
     """Enclosure of 1 + (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}; H(Q) of some solution is below it."""
@@ -93,7 +88,7 @@ class PadeApproximant:
     denominator_cleared: bool    # d_p * P_j integral for every j
     height_Q: int                # max |coefficient of Q|
     siegel_bound: IntervalReal
-    siegel_ok: bool
+    siegel_ok: Optional[bool]    # None: the enclosure still straddles H(Q) at the cap
     kernel_vector: list[int] = field(default_factory=list)
 
     def residue_series(self, j: int, order: int) -> SeriesTrunc:
@@ -131,15 +126,8 @@ def assemble(sys: GFunctionSystem, p: int, q: int, h: int, v: list[int]) -> Pade
     dp = sys.denominator(p)
     cleared = all((dp * P_j).is_integral() for P_j in P)
     height = max(abs(x) for x in v)
-    bound = siegel_height_bound(sys, p, q, h)
-    # certified comparison; widen precision once if the first enclosure straddles
-    if bound.lo > height:
-        ok = True
-    elif bound.hi < height:
-        ok = False
-    else:
-        bound = siegel_height_bound(sys, p, q, h, digits=128)
-        ok = bound.lo >= height
+    ok, bound = decide(lambda dg: siegel_height_bound(sys, p, q, h, dg),
+                       lambda iv: iv.ge(height), 32)
     return PadeApproximant(system=sys, p=p, q=q, h=h, Q=Q, P=P,
                            order_certificates=certificates,
                            denominator_cleared=cleared, height_Q=int(height),
@@ -150,5 +138,5 @@ def assemble(sys: GFunctionSystem, p: int, q: int, h: int, v: list[int]) -> Pade
 def build_approximant(sys: GFunctionSystem, p: int, q: int, h: int) -> PadeApproximant:
     """constraint_matrix -> small kernel vector -> assemble, in one step."""
     M = constraint_matrix(sys, p, q, h)
-    v = small_kernel_vector(M, ncols=q + 1)
+    v = shortest_kernel_vector(M, ncols=q + 1)
     return assemble(sys, p, q, h, v)

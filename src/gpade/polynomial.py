@@ -216,10 +216,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.coeffs[-1])
 
 
-def poly_height(p: Poly) -> Fraction:
-    return p.height()
-
-
 def product_height_bound(a: Poly, b: Poly) -> Fraction:
     """Upper bound min(1+deg a, 1+deg b) * H(a) * H(b) for H(a*b).
 

@@ -24,10 +24,10 @@ from typing import Optional
 
 from .catalog import GFunctionSystem, resolve_system
 from .constants import ConstantsConfig, ConstantsReport, compute_constants
-from .errors import InternalCertificateError, PreconditionError
-from .intervals import IntervalReal, frac_nth_root, frac_pow
+from .errors import InsufficientPrecisionError, InternalCertificateError, PreconditionError
+from .intervals import IntervalReal, decide, frac_nth_root, frac_pow
 from .transcend import exp_interval, log_frac, log_interval
-from .verify import eval_certified
+from .verify import _settled_nearest, eval_certified
 
 
 def _split_rational(d: Fraction) -> tuple[int, int]:
@@ -113,17 +113,12 @@ def cf_sqrt(d: Fraction, count: int) -> CFExpansion:
                        period=period, convergents=convs)
 
 
-def _certify_le(lhs: Fraction, rhs_producer, digits: int = 16, cap: int = 1 << 12) -> bool:
+def _certify_le(lhs: Fraction, rhs_producer, digits: int = 16) -> bool:
     """Decide rational lhs <= irrational rhs(digits) by escalation."""
-    while True:
-        rhs = rhs_producer(digits)
-        if rhs.lo >= lhs:
-            return True
-        if rhs.hi < lhs:
-            return False
-        if digits >= cap:
-            raise PreconditionError("comparison undecided at precision cap")
-        digits *= 2
+    le, _ = decide(rhs_producer, lambda rhs: rhs.ge(lhs), digits)
+    if le is None:
+        raise InsufficientPrecisionError("comparison undecided at precision cap")
+    return le
 
 
 def pell_bound_check(conv: QuadConvergent, d: Fraction, digits: int = 16) -> bool:
@@ -134,22 +129,17 @@ def pell_bound_check(conv: QuadConvergent, d: Fraction, digits: int = 16) -> boo
     return _certify_le(lhs, lambda dg: sqrt_enclosure(d, dg) * 2 + 1, digits)
 
 
-def convergent_gap_check(conv: QuadConvergent, d: Fraction, digits: int = 16,
-                         cap: int = 1 << 12) -> bool:
+def convergent_gap_check(conv: QuadConvergent, d: Fraction, digits: int = 16) -> bool:
     """Certify |sqrt(d) - alpha/beta| < 1/beta^2."""
     d = Fraction(d)
     _split_rational(d)
     target = Fraction(conv.alpha, conv.beta)
     bound = Fraction(1, conv.beta ** 2)
-    while True:
-        gap = abs(sqrt_enclosure(d, digits) - target)
-        if gap.hi < bound:
-            return True
-        if gap.lo >= bound:
-            return False
-        if digits >= cap:
-            raise PreconditionError("gap comparison undecided at precision cap")
-        digits *= 2
+    lt, _ = decide(lambda dg: abs(sqrt_enclosure(d, dg) - target),
+                   lambda gap: gap.lt(bound), digits)
+    if lt is None:
+        raise InsufficientPrecisionError("gap comparison undecided at precision cap")
+    return lt
 
 
 @dataclass
@@ -194,21 +184,15 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
     c2 = constants.c2
 
     # N_d = (c1 c(d))^{c2/2} with c(d) = 2 sqrt(d) + 1
-    dg = digits
-    while True:
+    def threshold(dg: int) -> IntervalReal:
         cd = sqrt_enclosure(d, dg) * 2 + 1
         log_Nd = (log_frac(coef, dg) + IntervalReal.point(e_exp)
                   + log_interval(cd, dg)) * Fraction(c2, 2)
-        N_d = exp_interval(log_Nd, dg)
-        if N_d.hi <= conv.alpha:
-            alpha_ge_Nd = True
-            break
-        if N_d.lo > conv.alpha:
-            alpha_ge_Nd = False
-            break
-        if dg >= 1 << 12:
-            raise PreconditionError("threshold comparison undecided at precision cap")
-        dg *= 2
+        return exp_interval(log_Nd, dg)
+
+    alpha_ge_Nd, N_d = decide(threshold, lambda N_d: N_d.le(conv.alpha), digits)
+    if alpha_ge_Nd is None:
+        raise InsufficientPrecisionError("threshold comparison undecided at precision cap")
 
     # direct hypothesis b > (c1 |a|)^{c2}
     log_b = log_frac(Fraction(b), digits)
@@ -275,8 +259,7 @@ class Theorem5Report:
 
 
 def theorem5_scan(d: Fraction, conv: QuadConvergent, m_range: tuple[int, int],
-                  denominator_choice: str = "alpha", digits: int = 32,
-                  cap: int = 1 << 12) -> Theorem5Report:
+                  denominator_choice: str = "alpha", digits: int = 32) -> Theorem5Report:
     """Nearest-integer distances |sqrt(d) - n/den^m| over a range of m."""
     d = Fraction(d)
     _split_rational(d)
@@ -291,31 +274,20 @@ def theorem5_scan(d: Fraction, conv: QuadConvergent, m_range: tuple[int, int],
     rows = []
     for m in range(m_lo, m_hi + 1):
         scale = den ** m
-        dg = digits
-        while True:
-            x = sqrt_enclosure(d, dg) * scale
-            n_lo = _round_nearest(x.lo)
-            n_hi = _round_nearest(x.hi)
-            if n_lo == n_hi:
-                n = n_lo
-                dist = abs(sqrt_enclosure(d, dg) - Fraction(n, scale))
-                if dist.lo > 0:
-                    break
-            if dg >= cap:
-                raise PreconditionError(f"nearest integer undecided at m={m}")
-            dg *= 2
+
+        def nearest(root: IntervalReal) -> Optional[tuple[int, IntervalReal]]:
+            n = _settled_nearest(root * scale)
+            if n is None:
+                return None
+            dist = abs(root - Fraction(n, scale))
+            return (n, dist) if dist.lo > 0 else None
+
+        found, _ = decide(lambda dg: sqrt_enclosure(d, dg), nearest, digits)
+        if found is None:
+            raise InsufficientPrecisionError(f"nearest integer at m={m} undecided at precision cap")
+        n, dist = found
         # dist >= 1/(eta den)^m  <=>  eta >= dist^{-1/m} / den
         eta_hi = frac_pow(1 / dist.lo, Fraction(1, m), digits).hi / den
         rows.append(ScanRow(m=m, n=n, distance=dist, eta_req=eta_hi))
     return Theorem5Report(d=d, denominator_choice=denominator_choice, den=den,
                           m_range=(m_lo, m_hi), rows=rows)
-
-
-def _round_nearest(x: Fraction) -> int:
-    fl = x.numerator // x.denominator
-    rem = x - fl
-    if rem > Fraction(1, 2):
-        return fl + 1
-    if rem < Fraction(1, 2):
-        return fl
-    return fl if fl % 2 == 0 else fl + 1

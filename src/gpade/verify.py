@@ -21,7 +21,7 @@ from .constants import ConstantsConfig, ConstantsReport, compute_constants
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
 from .errors import (InsufficientPrecisionError, InternalCertificateError,
                      NoConvergentTailBound, PreconditionError)
-from .intervals import CertifiedReal, IntervalReal, frac_pow
+from .intervals import CertifiedReal, IntervalReal, decide, frac_pow
 from .pade import build_approximant
 from .transcend import log_frac
 
@@ -69,8 +69,7 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
     return iv.round_out(grid)
 
 
-def value_producer(sys: GFunctionSystem, j: int, z: Scalar,
-                   digit_cap: int = 1 << 14) -> CertifiedReal:
+def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
     """CertifiedReal for F_j(z); raises up front when no tail bound converges."""
     z = Fraction(z)
     if z != 0 and sys.C * abs(z) >= 1:
@@ -79,11 +78,11 @@ def value_producer(sys: GFunctionSystem, j: int, z: Scalar,
     if cache is None:
         cache = {}
         sys._value_cache = cache
-    key = (j, z, digit_cap)
+    key = (j, z)
     if key not in cache:
         cache[key] = CertifiedReal(
             lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
-            name=f"{sys.name}:F_{j}({z})", digit_cap=digit_cap)
+            name=f"{sys.name}:F_{j}({z})")
     return cache[key]
 
 
@@ -184,19 +183,13 @@ class VerifyReport:
         return self.status == "certified"
 
 
-def _decide_ge(value: CertifiedReal, threshold: Fraction,
-               start_digits: int = 24, cap: int = 1 << 13) -> tuple[str, IntervalReal]:
-    """Certify |value| >= threshold (or its failure) by refining the enclosure."""
-    digits = start_digits
-    while True:
-        iv = abs(value.enclosure(digits))
-        if iv.lo >= threshold:
-            return "certified", iv
-        if iv.hi < threshold:
-            return "violated", iv
-        if digits >= cap:
-            return "indeterminate", iv
-        digits *= 2
+_STATUS = {True: "certified", False: "violated", None: "indeterminate"}
+
+
+def _decide_distance(value: CertifiedReal, offset: Fraction, threshold: Fraction,
+                     start: int = 24) -> tuple[Optional[bool], IntervalReal]:
+    """Decide |value - offset| >= threshold by escalation; None at the cap."""
+    return decide(lambda dg: abs(value.enclosure(dg) - offset), lambda iv: iv.ge(threshold), start)
 
 
 def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
@@ -233,9 +226,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
 
     value = value_producer(work_sys, j, ab)
     offset = Fraction(n, B * b ** m)
-    dist = CertifiedReal(lambda dg: value.enclosure(dg) - offset,
-                         name="distance", digit_cap=value.digit_cap)
-    status, lhs_iv = _decide_ge(dist, rhs, start_digits=max(16, digits // 2))
+    ok, lhs_iv = _decide_distance(value, offset, rhs, max(16, digits // 2))
 
     chain = None
     if property_mode:
@@ -244,13 +235,13 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
         chain = replay_chain(work_sys, aa, b, B, m, n, j, pqh, value)
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
-                        lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=status,
+                        lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=_STATUS[ok],
                         constants=constants, hypothesis_ok=hyp_ok, chain=chain)
 
 
 def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
-                 j: int, pqh: tuple[int, int, int], value: Optional[CertifiedReal] = None,
-                 cap: int = 1 << 13) -> ChainReplay:
+                 j: int, pqh: tuple[int, int, int],
+                 value: Optional[CertifiedReal] = None) -> ChainReplay:
     """Replay the witness chain at explicit (p, q, h); every step certified."""
     p, q, h = pqh
     if p < q + m:
@@ -272,77 +263,50 @@ def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
 
     # |R_{j,k}(a/b)| < (1/2) d_*^{-1} b^{-*} B^{-1}, R = Q_k F_j - P_{j,k}
     thresh16 = Fraction(1, 2 * dd * b ** scale_exp * B)
-    rem = CertifiedReal(lambda dg: Qk_val * value.enclosure(dg) - Pjk_val,
-                        name="remainder", digit_cap=value.digit_cap)
-    st16, rem_iv = _decide_lt(rem, thresh16, cap=cap)
+
+    def remainder(dg: int) -> IntervalReal:
+        return abs(Qk_val * value.enclosure(dg) - Pjk_val)
+
+    st16, _ = decide(remainder, lambda iv: iv.lt(thresh16), 24)
 
     # |Q_k(a/b)| |n - B b^m F_j(a/b)| >= d_*^{-1} b^{-* + m} - B b^m |R_{j,k}(a/b)|
     target = Fraction(1, dd) * Fraction(1, b ** scale_exp) * b ** m
-    st15 = None
-    dg = 24
-    while True:
-        rv = abs(rem.enclosure(dg))
-        fv = value.enclosure(dg)
-        lhs15 = abs(Qk_val) * abs(n - B * b ** m * fv)
-        rhs15 = IntervalReal.point(target) - B * b ** m * rv
-        if lhs15.lo >= rhs15.hi:
-            st15 = True
-            break
-        if lhs15.hi < rhs15.lo:
-            st15 = False
-            break
-        if dg >= cap:
-            break
-        dg *= 2
+
+    def balance(dg: int) -> IntervalReal:
+        """lhs - rhs of the balance inequality."""
+        lhs15 = abs(Qk_val) * abs(n - B * b ** m * value.enclosure(dg))
+        return lhs15 - (IntervalReal.point(target) - B * b ** m * remainder(dg))
+
+    st15, _ = decide(balance, lambda iv: iv.ge(0), 24)
 
     # distance >= d_*^{-1} b^{-*} / (2 B |Q_k(a/b)|)
     if Qk_val == 0:
         raise InternalCertificateError("Q_k(a/b) = 0 after remainder-smallness held")
     bound17 = Fraction(1, dd * b ** scale_exp) / (2 * B * abs(Qk_val))
     offset = Fraction(n, B * b ** m)
-    dist = CertifiedReal(lambda dgt: value.enclosure(dgt) - offset,
-                         name="distance", digit_cap=value.digit_cap)
-    st17, _ = _decide_ge(dist, bound17, cap=cap)
+    st17, _ = _decide_distance(value, offset, bound17)
 
-    return ChainReplay(p=p, q=q, h=h, k=k, witness=witness,
-                       eq_remainder_small=(st16 if st16 is not None else None),
-                       eq_balance=st15,
-                       eq_distance=(True if st17 == "certified"
-                                    else False if st17 == "violated" else None),
-                       distance_lower=bound17)
-
-
-def _decide_lt(value: CertifiedReal, threshold: Fraction,
-               start_digits: int = 24, cap: int = 1 << 13) -> tuple[Optional[bool], IntervalReal]:
-    digits = start_digits
-    while True:
-        iv = abs(value.enclosure(digits))
-        if iv.hi < threshold:
-            return True, iv
-        if iv.lo >= threshold:
-            return False, iv
-        if digits >= cap:
-            return None, iv
-        digits *= 2
+    return ChainReplay(p=p, q=q, h=h, k=k, witness=witness, eq_remainder_small=st16,
+                       eq_balance=st15, eq_distance=st17, distance_lower=bound17)
 
 
 def scan_nearest(sys: GFunctionSystem, a: int, b: int, B: int, m: int,
-                 j: Optional[int] = None, cap: int = 1 << 13) -> int:
+                 j: Optional[int] = None) -> int:
     """Nearest integer to B b^m F_j(a/b); exact half-ties round to even."""
     j = sys.N if j is None else j
     work_sys, aa = (sys, a) if a > 0 else (sys.negated(), -a)
     value = value_producer(work_sys, j, Fraction(aa, b))
-    digits = 16
     scale = B * b ** m
-    while True:
-        iv = value.enclosure(digits) * scale
-        lo_n = _round_half_even(iv.lo)
-        hi_n = _round_half_even(iv.hi)
-        if lo_n == hi_n:
-            return lo_n
-        if digits >= cap:
-            raise InsufficientPrecisionError("nearest integer undecided at precision cap")
-        digits *= 2
+    nearest, _ = decide(lambda dg: value.enclosure(dg) * scale, _settled_nearest, 16)
+    if nearest is None:
+        raise InsufficientPrecisionError("nearest integer undecided at precision cap")
+    return nearest
+
+
+def _settled_nearest(iv: IntervalReal) -> Optional[int]:
+    """The nearest integer of every point of `iv` when they all share it, else None."""
+    n = _round_half_even(iv.lo)
+    return n if n == _round_half_even(iv.hi) else None
 
 
 def _round_half_even(x: Fraction) -> int:
@@ -392,8 +356,6 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
     rhs = frac_pow(Fraction(1, b), m * (1 + eps), digits).hi
     value = value_producer(work_sys, j, Fraction(aa, b))
     offset = Fraction(n, B * b ** m)
-    dist = CertifiedReal(lambda dg: value.enclosure(dg) - offset,
-                         name="distance", digit_cap=value.digit_cap)
-    status, lhs_iv = _decide_ge(dist, rhs)
-    return CorollaryReport(eps=eps, rhs=rhs, status=status,
+    ok, lhs_iv = _decide_distance(value, offset, rhs)
+    return CorollaryReport(eps=eps, rhs=rhs, status=_STATUS[ok],
                            hyp_b_ok=hyp_b, hyp_m_ok=hyp_m, lhs=lhs_iv)

@@ -200,3 +200,72 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gpade-report: 1" in proc.stdout
+
+
+def test_constants_exact_schedule_decision(tmp_path, capsys):
+    # x = log b / (3 log c1) is exactly N+1 = 2 here; this used to escalate forever
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    argv = ["constants", "--system", str(path), "--a", "1", "--b", str(2 ** 126),
+            "--t", "0", "--m", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rec = parse_report(out)[1][0]
+    assert rec["desk-scale"] == "true"
+    assert rec["status"] == "hypothesis-unmet"
+    code, _ = run_cli(capsys, *argv, "--strict")
+    assert code == 2
+
+
+def test_max_precision_caps_every_decision(capsys):
+    argv = ["sqrt", "--d", "2", "--convergents", "6", "--scan-m", "1:4"]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code = main(argv + ["--max-precision", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "undecided at precision cap" in captured.err
+    code = main(argv + ["--max-precision", "0"])
+    assert code == 2
+    assert "precision cap must be >= 1" in capsys.readouterr().err
+
+
+def test_suite_counts_undecided_block_cells_apart(capsys, monkeypatch):
+    import dataclasses
+
+    import gpade.cli
+    original = gpade.cli.theorem2_convergent
+
+    def undecided_at_one_cell(ds, value, t, n):
+        conv = original(ds, value, t, n)
+        # (1, 10) is a strict-bound violation; undecided, it must not count as one
+        return dataclasses.replace(conv, holds=None) if (t, n) == (1, 10) else conv
+
+    monkeypatch.setattr(gpade.cli, "theorem2_convergent", undecided_at_one_cell)
+    code, out = run_cli(capsys, "suite", "--quick")
+    assert code == 0
+    rec = next(r for r in parse_report(out)[1] if r["record"] == "suite-block-convergents")
+    assert rec["provable-bound-failures"] == "0"
+    assert rec["strict-bound-violations"] == "1"
+    assert rec["undecided"] == "1"
+    assert rec["status"] == "indeterminate"
+
+
+def test_siegel_straddle_is_indeterminate(capsys, monkeypatch):
+    import gpade.pade
+    from gpade import IntervalReal
+    # a bound that straddles every height at every precision
+    monkeypatch.setattr(gpade.pade, "siegel_height_bound",
+                        lambda sys, p, q, h, digits=32: IntervalReal(0, 10 ** 100))
+    code, out = run_cli(capsys, "build", "--system", "log1m",
+                        "--p", "3", "--q", "2", "--h", "2")
+    assert code == 0
+    rec = parse_report(out)[1][0]
+    assert rec["siegel-ok"] == "indeterminate"
+    assert rec["status"] == "indeterminate"
+    code, out = run_cli(capsys, "suite", "--quick")
+    assert code == 0
+    grid = next(r for r in parse_report(out)[1] if r["record"] == "suite-pade-grid")
+    assert grid["siegel-failures"] == "0"
+    assert grid["undecided"] == grid["instances"] == "26"
+    assert grid["status"] == "indeterminate"

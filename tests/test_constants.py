@@ -173,3 +173,19 @@ def test_remainder_bound_dominates_series_value(log1m):
             F = eval_certified(log1m, 1, z, Fraction(1, 10**30))
             actual = abs(fam.Q(k)(z) * F - IntervalReal.point(fam.P(1, k)(z)))
             assert actual.hi <= bound
+
+
+BINOM_HALF_D4 = "family binom_power\nparam alpha 1/2\nDgrowth 4\n"
+
+
+def test_schedule_decided_exactly_when_x_straddles():
+    # chi = 2^21 here, so x = log b / (3 log chi) equals N+1 = 2 exactly at
+    # b = 2^126; x > N+1 is decided as b > chi^6 in integers, not by escalation
+    from gpade import parse_system
+    sysf = parse_system(BINOM_HALF_D4)
+    rep = compute_constants(sysf, 1, 2 ** 126, 0, 1, digits=64, allow_desk_scale=True)
+    assert rep.x.lo < 2 < rep.x.hi
+    assert rep.digits == 64
+    assert rep.desk_scale and rep.h is None
+    with pytest.raises(HypothesisUnmetError):
+        compute_constants(sysf, 1, 2 ** 126, 0, 1, digits=64)

@@ -15,6 +15,7 @@ from gpade import (
 )
 from gpade.digits import DigitString, _expand_exact
 from gpade.errors import InsufficientDigitsError, PreconditionError
+from gpade.intervals import precision_cap
 
 
 def test_exact_expansion_terminating():
@@ -70,9 +71,9 @@ def test_large_base_rendering():
 def test_certified_expansion_matches_exact():
     # a CertifiedReal around an exact rational expands to the same digits
     x = Fraction(1, 7)
-    cr = CertifiedReal(lambda d: IntervalReal(x - Fraction(1, 10**d), x + Fraction(1, 10**d)),
-                       digit_cap=256)
-    ds = expand_digits(cr, 10, 20)
+    cr = CertifiedReal(lambda d: IntervalReal(x - Fraction(1, 10**d), x + Fraction(1, 10**d)))
+    with precision_cap(256):
+        ds = expand_digits(cr, 10, 20)
     assert ds.certified_len == 20
     assert ds.as_str() == _expand_exact(x, 10, 20).as_str()
     assert not ds.exact
@@ -82,17 +83,18 @@ def test_certified_expansion_fallback_to_settled_depth():
     # enclosure stuck at width 2e-8: depth 3 is ambiguous (...2999 / ...3000),
     # depth 2 settles
     iv = IntervalReal(Fraction("0.12299999"), Fraction("0.12300001"))
-    cr = CertifiedReal(lambda d: iv, digit_cap=64)
-    ds = expand_digits(cr, 10, 8, digit_cap=64)
+    cr = CertifiedReal(lambda d: iv)
+    with precision_cap(64):
+        ds = expand_digits(cr, 10, 8)
     assert ds.certified_len == 2
     assert ds.as_str() == "12"
 
 
 def test_certified_expansion_no_digit_at_all():
     iv = IntervalReal(Fraction(4, 10), Fraction(6, 10))
-    cr = CertifiedReal(lambda d: iv, digit_cap=64)
-    with pytest.raises(InsufficientDigitsError):
-        expand_digits(cr, 10, 4, digit_cap=64)
+    cr = CertifiedReal(lambda d: iv)
+    with precision_cap(64), pytest.raises(InsufficientDigitsError):
+        expand_digits(cr, 10, 4)
 
 
 def test_repetition_count_basics():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
-from gpade.intervals import _decimal_digits, interval_refine, round_down, round_up
+from gpade.intervals import (DEFAULT_DIGIT_CAP, PRECISION_CAP, _decimal_digits, decide,
+                             precision_cap, round_down, round_up)
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 
@@ -174,11 +175,13 @@ def test_certified_real_refines_and_caches():
         calls.append(digits)
         return frac_nth_root(Fraction(2), 2, digits)
 
-    cr = CertifiedReal(producer, name="sqrt2", digit_cap=64)
-    wide = cr.enclosure(4)
-    narrow = cr.refine(Fraction(1, 10**10))
+    cr = CertifiedReal(producer, name="sqrt2")
+    with precision_cap(64):
+        wide = cr.enclosure(4)
+        narrow = cr.refine(Fraction(1, 10**10))
     assert narrow in wide
     assert narrow.width <= Fraction(1, 10**10)
+    assert narrow.lo ** 2 <= 2 <= narrow.hi ** 2
     # asking for less precision than cached re-uses the cache
     n_calls = len(calls)
     cr.enclosure(2)
@@ -186,15 +189,9 @@ def test_certified_real_refines_and_caches():
 
 
 def test_certified_real_cap_enforced():
-    cr = CertifiedReal(lambda d: frac_nth_root(Fraction(2), 2, d), digit_cap=8)
-    with pytest.raises(InsufficientPrecisionError):
+    cr = CertifiedReal(lambda d: frac_nth_root(Fraction(2), 2, d))
+    with precision_cap(8), pytest.raises(InsufficientPrecisionError):
         cr.refine(Fraction(1, 10**20))
-
-
-def test_interval_refine_one_shot():
-    iv = interval_refine(lambda d: frac_nth_root(Fraction(5), 2, d), Fraction(1, 10**6))
-    assert iv.width <= Fraction(1, 10**6)
-    assert iv.lo ** 2 <= 5 <= iv.hi ** 2
 
 
 def test_inconsistent_producer_detected():
@@ -204,7 +201,56 @@ def test_inconsistent_producer_detected():
             return IntervalReal(0, Fraction(1, 100))
         return IntervalReal(1, 2)
 
-    cr = CertifiedReal(bad, digit_cap=32)
-    cr.enclosure(4)
+    cr = CertifiedReal(bad)
+    with precision_cap(32):
+        cr.enclosure(4)
+        with pytest.raises(PreconditionError):
+            cr.enclosure(16)
+
+
+def test_decide_doubles_from_start_and_stops_at_first_verdict():
+    calls = []
+
+    def produce(d):
+        calls.append(d)
+        return d
+
+    with precision_cap(100):
+        assert decide(produce, lambda d: "done" if d >= 40 else None, 5) == ("done", 40)
+    assert calls == [5, 10, 20, 40]
+
+
+def test_decide_clamps_to_the_cap_and_never_exceeds_it():
+    calls = []
+
+    def produce(d):
+        calls.append(d)
+        return d
+
+    with precision_cap(100):
+        assert decide(produce, lambda d: None, 24) == (None, 100)
+        assert decide(produce, lambda d: None, 500) == (None, 100)
+    assert calls == [24, 48, 96, 100, 100]
+    # a verdict of False or 0 is a decision, not an undecided None
+    assert decide(lambda d: 0, lambda r: r, 1) == (0, 0)
+
+
+def test_precision_cap_scopes_and_validates():
+    assert PRECISION_CAP.get() == DEFAULT_DIGIT_CAP == 4096
+    with precision_cap(12):
+        assert PRECISION_CAP.get() == 12
+        with precision_cap(7):
+            assert PRECISION_CAP.get() == 7
+        assert PRECISION_CAP.get() == 12
+    assert PRECISION_CAP.get() == 4096
     with pytest.raises(PreconditionError):
+        with precision_cap(0):
+            pass
+
+
+def test_enclosure_beyond_the_cap_is_refused():
+    cr = CertifiedReal(lambda d: frac_nth_root(Fraction(2), 2, d))
+    with precision_cap(16):
         cr.enclosure(16)
+        with pytest.raises(InsufficientPrecisionError):
+            cr.enclosure(17)

@@ -9,8 +9,8 @@ from gpade import (
     assemble,
     build_approximant,
     constraint_matrix,
+    shortest_kernel_vector,
     siegel_height_bound,
-    small_kernel_vector,
 )
 from gpade.errors import KernelVectorError, PreconditionError
 
@@ -55,7 +55,7 @@ def test_parameter_validation(log1m, polylog2):
 def test_h_zero_means_no_constraints(log1m):
     m = constraint_matrix(log1m, 3, 2, 0)
     assert m == []
-    v = small_kernel_vector(m, ncols=3)
+    v = shortest_kernel_vector(m, ncols=3)
     approx = assemble(log1m, 3, 2, 0, v)
     assert approx.order_certificates == [4]
     assert approx.siegel_bound.lo == 2      # no-constraint bound degenerates
