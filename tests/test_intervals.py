@@ -194,6 +194,12 @@ def test_certified_real_cap_enforced():
         cr.refine(Fraction(1, 10**20))
 
 
+def test_interval_refine_one_shot():
+    iv = CertifiedReal(lambda d: frac_nth_root(Fraction(5), 2, d)).refine(Fraction(1, 10**6))
+    assert iv.width <= Fraction(1, 10**6)
+    assert iv.lo ** 2 <= 5 <= iv.hi ** 2
+
+
 def test_inconsistent_producer_detected():
     # a producer whose refinements do not overlap must be rejected
     def bad(digits: int) -> IntervalReal:
