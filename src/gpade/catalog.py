@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
-from .intervals import IntervalReal, decide, frac_nth_root
+from .intervals import CertifiedReal, IntervalReal, decide, frac_nth_root
 from .polynomial import Poly, SeriesTrunc, lcm_range
 from .ratfun import RatFunMatrix
 from .transcend import exp_frac
@@ -80,6 +80,8 @@ class GFunctionSystem:
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
         self._denom_cache: dict[int, int] = {}
         self._cleared: Optional[list[list[Poly]]] = None
+        # (j, z) -> CertifiedReal of F_j(z), filled by verify.value_producer
+        self._value_cache: dict[tuple[int, Fraction], CertifiedReal] = {}
         if validate:
             self._validate()
 
@@ -140,12 +142,16 @@ class GFunctionSystem:
     def CD(self, digits: int = 32) -> IntervalReal:
         return self.C * self.Dgrowth(digits)
 
-    def CD_sym(self) -> Optional[tuple[Fraction, Fraction]]:
-        """C * Dgrowth as (coef, e_exponent) when Dgrowth is symbolic, else exact rational pair."""
+    def D_sym(self) -> tuple[Fraction, Fraction]:
+        """Dgrowth as (coef, e_exponent), coef * e^e_exponent; exponent 0 when rational."""
         if self.Dgrowth_sym is not None:
-            coef, e_exp = self.Dgrowth_sym
-            return (self.C * coef, e_exp)
-        return (self.C * self.Dgrowth_rat, Fraction(0))
+            return self.Dgrowth_sym
+        return (self.Dgrowth_rat, Fraction(0))
+
+    def CD_sym(self) -> tuple[Fraction, Fraction]:
+        """C * Dgrowth as (coef, e_exponent)."""
+        coef, e_exp = self.D_sym()
+        return (self.C * coef, e_exp)
 
     # -- derived structures ------------------------------------------------
 

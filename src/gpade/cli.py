@@ -13,49 +13,23 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from .acceptance import SuiteRecord, run_suite
 from .catalog import GFunctionSystem, resolve_system
-from .constants import ConstantsConfig, bound_height_Qk, bound_remainder, compute_constants
+from .constants import ConstantsConfig, compute_constants
 from .derivation import IteratedFamily, iterate, zero_estimate_check
-from .digits import expand_digits, profile_with_expansion, theorem2_convergent
+from .digits import profile_with_expansion, theorem2_convergent
 from .errors import (DivisibilityError, HypothesisUnmetError, InsufficientDigitsError,
                      InsufficientPrecisionError, InternalCertificateError,
                      KernelVectorError, NoConvergentTailBound, PreconditionError,
                      RankDeficiencyError)
-from .intervals import DEFAULT_DIGIT_CAP, IntervalReal, frac_pow, precision_cap
+from .intervals import DEFAULT_DIGIT_CAP, precision_cap
 from .pade import PadeApproximant, assemble, build_approximant
 from .quadratic import cf_sqrt, convergent_gap_check, pell_bound_check, \
     reduce_to_theorem1, theorem5_scan
 from .report import (STATUS_CERTIFIED, STATUS_HYPOTHESIS_UNMET, STATUS_INDETERMINATE,
-                     STATUS_VIOLATED, ReportWriter, fmt_fraction, fmt_poly,
-                     fmt_tristate, parse_report)
-from .verify import eval_certified, scan_nearest, value_producer, verify_theorem1
-
-# Frozen property-mode chain instances (system-arg, a, b, B, m, n, p, q, h);
-# n is the nearest integer to B b^m F(a/b), so the distance chain is sharp.
-CHAIN_INSTANCES: list[tuple[str, int, int, int, int, int, int, int, int]] = [
-    ("log1m", 1, 10, 1, 1, -1, 3, 2, 2),
-    ("log1m", 1, 10, 1, 1, -1, 4, 3, 3),
-    ("log1m", 1, 10, 1, 1, -1, 5, 4, 4),
-    ("log1m", 1, 10, 1, 2, -11, 4, 2, 2),
-    ("log1m", 1, 10, 1, 2, -11, 5, 3, 3),
-    ("log1m", 1, 10, 1, 3, -105, 5, 2, 2),
-    ("log1m", 1, 10, 1, 3, -105, 6, 3, 3),
-    ("log1m", 1, 10, 2, 1, -2, 3, 2, 2),
-    ("log1m", 1, 10, 3, 2, -32, 5, 3, 3),
-    ("log1m", -1, 10, 1, 1, 1, 3, 2, 2),
-    ("log1m", -1, 10, 1, 2, 10, 4, 2, 2),
-    ("log1m", 3, 10, 1, 1, -4, 4, 3, 3),
-    ("polylog2", 1, 1000, 1, 1, 1, 5, 4, 2),
-    ("polylog2", 1, 1000, 1, 1, 1, 6, 4, 2),
-    ("polylog2", 1, 1000, 1, 2, 1000, 6, 4, 2),
-    ("polylog2", 1, 1000, 2, 1, 2, 5, 4, 2),
-    ("polylog2", -1, 1000, 1, 1, -1, 5, 4, 2),
-    ("polylog2", -1, 1000, 1, 2, -1000, 6, 4, 2),
-    ("polylog2", 3, 1000, 1, 1, 3, 5, 4, 2),
-    ("polylog2", 7, 1000, 1, 1, 7, 6, 4, 2),
-]
-
-LI2_DIGITS_50 = "10261779109939113111383736905723221370568993941926"
+                     STATUS_VIOLATED, TRISTATE_STATUS, ReportWriter, fmt_fraction,
+                     fmt_poly, fmt_sym, fmt_tristate, parse_report)
+from .verify import scan_nearest, value_producer, verify_theorem1
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -73,15 +47,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise PreconditionError(f"range must be lo:hi, got {text!r}")
-
-
-def _fmt_sym(sym: Optional[tuple[Fraction, Fraction]]) -> str:
-    if sym is None:
-        return STATUS_INDETERMINATE
-    coef, e_exp = sym
-    if e_exp == 0:
-        return fmt_fraction(coef)
-    return f"{fmt_fraction(coef)}*e^{fmt_fraction(e_exp)}"
 
 
 def _emit_approximant(w: ReportWriter, system_arg: str, system: GFunctionSystem,
@@ -106,10 +71,8 @@ def _emit_approximant(w: ReportWriter, system_arg: str, system: GFunctionSystem,
     w.kv("height-Q", approx.height_Q)
     w.kv("siegel-bound", approx.siegel_bound)
     w.kv("siegel-ok", approx.siegel_ok)
-    if not (approx.Q.is_integral() and approx.denominator_cleared) or approx.siegel_ok is False:
-        w.status(STATUS_VIOLATED)
-    else:
-        w.status(STATUS_CERTIFIED if approx.siegel_ok else STATUS_INDETERMINATE)
+    cleared = approx.Q.is_integral() and approx.denominator_cleared
+    w.status(TRISTATE_STATUS[approx.siegel_ok] if cleared else STATUS_VIOLATED)
 
 
 def _approx_from_artifact(path: str) -> tuple[GFunctionSystem, str, PadeApproximant]:
@@ -136,10 +99,9 @@ def _resolve_build(args) -> tuple[GFunctionSystem, str, PadeApproximant]:
 
 
 def cmd_build(args, echo: str) -> ReportWriter:
-    system = resolve_system(args.system)
-    approx = build_approximant(system, args.p, args.q, args.h)
+    system, system_arg, approx = _resolve_build(args)
     w = ReportWriter(echo, args.precision)
-    _emit_approximant(w, args.system, system, approx)
+    _emit_approximant(w, system_arg, system, approx)
     return w
 
 
@@ -213,9 +175,9 @@ def cmd_constants(args, echo: str) -> ReportWriter:
     w.kv("N", rep.N)
     w.kv("d", rep.d)
     w.kv("chi", rep.chi)
-    w.kv("chi-closed-form", _fmt_sym(rep.chi_sym))
+    w.kv("chi-closed-form", fmt_sym(rep.chi_sym))
     w.kv("c1", rep.c1)
-    w.kv("c1-closed-form", _fmt_sym(rep.c1_sym))
+    w.kv("c1-closed-form", fmt_sym(rep.c1_sym))
     w.kv("c2", rep.c2)
     w.kv("c3", rep.c3)
     w.kv("c5", rep.c5)
@@ -339,8 +301,7 @@ def cmd_digits(args, echo: str) -> ReportWriter:
     w.kv("bound-provable", conv.bound_relaxed)
     w.kv("holds-provable", fmt_tristate(conv.holds_relaxed))
     w.kv("distance", conv.distance)
-    w.status(STATUS_CERTIFIED if conv.holds_relaxed
-             else (STATUS_VIOLATED if conv.holds_relaxed is False else STATUS_INDETERMINATE))
+    w.status(TRISTATE_STATUS[conv.holds_relaxed])
     return w
 
 
@@ -392,190 +353,21 @@ def cmd_sqrt(args, echo: str) -> ReportWriter:
     return w
 
 
-def _acceptance_grid(quick: bool) -> list[tuple[str, int, int, int]]:
-    """(system-arg, p, q, h) with h >= 1 and N h <= q <= p."""
-    out = []
-    p_max = 4 if quick else 10
-    for arg, N in (("log1m", 1), ("polylog2", 2)):
-        for p in range(2, p_max + 1):
-            for h in range(1, p // N + 1):
-                for q in range(N * h, p + 1):
-                    out.append((arg, p, q, h))
-    return out
-
-
-def cmd_suite(args, echo: str) -> ReportWriter:
-    quick = args.quick
-    w = ReportWriter(echo, args.precision)
-    systems = {arg: resolve_system(arg) for arg in ("log1m", "polylog2")}
-
-    # 1: constant chain for the dilogarithm pair
-    li2 = systems["polylog2"]
-    rep = compute_constants(li2, 1, 10, Fraction(0), 100, digits=48,
-                            allow_desk_scale=True)
-    w.record("suite-constants")
-    c1_match = rep.c1_sym == (Fraction(4), Fraction(66))
-    c2_match = rep.c2 == 12
-    below = rep.c4.certainly_lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo)
-    w.kv("c1-closed-form", _fmt_sym(rep.c1_sym))
-    w.kv("c1-matches-4e66", c1_match)
-    w.kv("c2", rep.c2)
-    w.kv("c4", rep.c4)
-    w.kv("c4-below-10^5.78", below)
-    w.kv("c4-closed-form-agrees", not rep.c4_discrepancy)
-    ok1 = c1_match and c2_match and below and not rep.c4_discrepancy
-    w.status(STATUS_CERTIFIED if ok1 else STATUS_VIOLATED)
-
-    # 2-7: the Pade grid with per-instance certificates
-    grid = _acceptance_grid(quick)
-    order_fail = clearing_fail = siegel_fail = siegel_undecided = 0
-    iter_fail = height_fail = remainder_fail = zero_fail = 0
-    z_points = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 10),
-                Fraction(-1, 10), Fraction(1, 100)]
-    first_failures: list[str] = []
-    for arg, p, q, h in grid:
-        system = systems[arg]
-        approx = build_approximant(system, p, q, h)
-        if not (approx.Q.is_integral() and min(approx.order_certificates) >= p + h + 1):
-            order_fail += 1
-        if not approx.denominator_cleared:
-            clearing_fail += 1
-        if approx.siegel_ok is None:
-            siegel_undecided += 1
-        elif not approx.siegel_ok:
-            siegel_fail += 1
-            if len(first_failures) < 5:
-                first_failures.append(f"siegel {arg} p={p} q={q} h={h}")
-        K = max(system.N, h // system.d)
-        fam = iterate(approx, system, K)
-        for cert in fam.certs:
-            if cert.k > h // system.d:
-                continue
-            if not (cert.degree_ok and cert.Q_integral and cert.P_cleared
-                    and cert.order_ok):
-                iter_fail += 1
-                if len(first_failures) < 5:
-                    first_failures.append(f"iterate {arg} p={p} q={q} h={h} k={cert.k}")
-            hk = fam.Q(cert.k).height()
-            if hk > bound_height_Qk(approx, system, cert.k):
-                height_fail += 1
-            if not quick:
-                for z in z_points:
-                    bnd = bound_remainder(fam, system, cert.k, z)
-                    for j in range(1, system.N + 1):
-                        iv = _remainder_enclosure(fam, system, j, cert.k, z, 48)
-                        if not iv.hi <= bnd:
-                            iv = _remainder_enclosure(fam, system, j, cert.k, z, 128)
-                        if not iv.hi <= bnd:
-                            remainder_fail += 1
-                            if len(first_failures) < 5:
-                                first_failures.append(
-                                    f"remainder {arg} p={p} q={q} h={h} k={cert.k} z={z}")
-        chk = zero_estimate_check(fam, system)
-        if not (chk.nonzero and chk.degree_ok
-                and chk.vanish_order >= chk.required_vanish):
-            zero_fail += 1
-            if len(first_failures) < 5:
-                first_failures.append(f"zero {arg} p={p} q={q} h={h}")
-    w.record("suite-pade-grid")
-    w.kv("instances", len(grid))
-    w.kv("order-failures", order_fail)
-    w.kv("clearing-failures", clearing_fail)
-    w.kv("siegel-failures", siegel_fail)
-    if siegel_undecided:
-        w.kv("undecided", siegel_undecided)
-    w.kv("iteration-failures", iter_fail)
-    w.kv("height-bound-failures", height_fail)
-    if not quick:
-        w.kv("remainder-bound-failures", remainder_fail)
-    w.kv("zero-estimate-failures", zero_fail)
-    if first_failures:
-        w.kv("first-failures", "; ".join(first_failures))
-    grid_ok = (order_fail == clearing_fail == siegel_fail == iter_fail
-               == height_fail == remainder_fail == zero_fail == 0)
-    w.status(STATUS_VIOLATED if not grid_ok
-             else STATUS_INDETERMINATE if siegel_undecided else STATUS_CERTIFIED)
-
-    # 8: xi chain on the frozen property instances
-    instances = CHAIN_INSTANCES[:3] if quick else CHAIN_INSTANCES
-    chain_fail = 0
-    for arg, a, b, B, m, n, p, q, h in instances:
-        system = systems[arg]
-        rep8 = verify_theorem1(system, a, b, B, m, n, digits=args.precision,
-                               property_mode=True, pqh=(p, q, h))
-        ch = rep8.chain
-        if ch is None or not (ch.witness.divisible_by_bm and ch.all_certified):
-            chain_fail += 1
-    w.record("suite-xi-chain")
-    w.kv("instances", len(instances))
-    w.kv("failures", chain_fail)
-    w.status(STATUS_CERTIFIED if chain_fail == 0 else STATUS_VIOLATED)
-
-    # 9: digit stability at doubled depth, plus block-convergent bounds
-    n_digits = 100 if quick else 500
-    value = value_producer(li2, 2, Fraction(1, 10))
-    ds1 = expand_digits(value, 10, n_digits)
-    ds2 = expand_digits(value, 10, 2 * n_digits)
-    stable = ds1.digits == ds2.digits[:n_digits]
-    prefix_ok = ds1.as_str(50) == LI2_DIGITS_50
-    w.record("suite-digit-stability")
-    w.kv("digits", n_digits)
-    w.kv("stable-at-doubled-depth", stable)
-    w.kv("prefix-matches-frozen-50", prefix_ok)
-    w.status(STATUS_CERTIFIED if stable and prefix_ok else STATUS_VIOLATED)
-
-    n_max = 40 if quick else 300
-    t_list = (1, 2) if quick else (1, 2, 3)
-    ds = expand_digits(value, 10, n_max + 12 * max(t_list) + 60)
-    provable_fail = strict_fail = undecided = 0
-    for t in t_list:
-        for n in range(1, n_max + 1):
-            conv = theorem2_convergent(ds, value, t, n)
-            provable_fail += conv.holds_relaxed is False
-            strict_fail += conv.holds is False
-            undecided += None in (conv.holds, conv.holds_relaxed)
-    w.record("suite-block-convergents")
-    w.kv("n-max", n_max)
-    w.kv("t-values", " ".join(str(t) for t in t_list))
-    w.kv("provable-bound-failures", provable_fail)
-    # the (b-1) numerator form fails on carry-boundary blocks; counted, not asserted
-    w.kv("strict-bound-violations", strict_fail)
-    if undecided:
-        w.kv("undecided", undecided)
-    w.status(STATUS_VIOLATED if provable_fail
-             else STATUS_INDETERMINATE if undecided else STATUS_CERTIFIED)
-
-    # 10: quadratic surds
-    ds_list = (2, 3) if quick else (2, 3, 5, 7)
-    beta_cap = 10 ** 3 if quick else 10 ** 6
-    pell_fail = 0
-    reductions = 0
-    for dv in ds_list:
-        exp = cf_sqrt(Fraction(dv), 40)
-        convs = [c for c in exp.convergents if c.beta <= beta_cap]
-        for conv in convs:
-            if not pell_bound_check(conv, Fraction(dv)):
-                pell_fail += 1
-        red = reduce_to_theorem1(convs[-1], Fraction(dv))
-        reductions += 1
-        if red.identity_width > Fraction(1, 10 ** 8):
-            pell_fail += 1
-    w.record("suite-quadratic")
-    w.kv("d-values", " ".join(str(x) for x in ds_list))
-    w.kv("beta-cap", beta_cap)
-    w.kv("pell-failures", pell_fail)
-    w.kv("reductions-checked", reductions)
-    w.status(STATUS_CERTIFIED if pell_fail == 0 else STATUS_VIOLATED)
-
+def render_suite(records: list[SuiteRecord], echo: str, precision: int) -> ReportWriter:
+    """The suite report: one record per SuiteRecord, then the summary."""
+    w = ReportWriter(echo, precision)
+    for rec in records:
+        w.record(rec.kind)
+        for key, value in rec.fields.items():
+            w.kv(key, value)
+        w.status(rec.status)
     w.record("suite-summary")
     w.kv("violated", w.any_violated)
     return w
 
 
-def _remainder_enclosure(fam: IteratedFamily, system: GFunctionSystem, j: int,
-                         k: int, z: Fraction, digits: int) -> IntervalReal:
-    F = eval_certified(system, j, z, Fraction(1, 10 ** digits))
-    return abs(F * fam.Q(k)(z) - fam.P(j, k)(z))
+def cmd_suite(args, echo: str) -> ReportWriter:
+    return render_suite(run_suite(args.quick, args.precision), echo, args.precision)
 
 
 def _build_parser() -> argparse.ArgumentParser:

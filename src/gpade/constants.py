@@ -14,7 +14,7 @@ c5 = max(h0, h1, h2, 8 N^2 d^3, 4t) and are recorded in every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -24,7 +24,6 @@ from .errors import (HypothesisUnmetError, InsufficientPrecisionError,
                      PreconditionError)
 from .intervals import IntervalReal, decide, frac_pow, settled_floor
 from .pade import PadeApproximant
-from .polynomial import Poly
 from .transcend import exp_frac, exp_interval, log2_enclosure, log_frac, log_interval
 
 Scalar = Union[int, Fraction]
@@ -38,9 +37,6 @@ class ConstantsConfig:
     h0: Fraction = Fraction(1)
     h1: Fraction = Fraction(1)
     h2: Fraction = Fraction(1)
-
-    def as_dict(self) -> dict:
-        return {"h0": self.h0, "h1": self.h1, "h2": self.h2}
 
 
 # -- exact per-approximant bounds ------------------------------------------
@@ -135,10 +131,6 @@ class ConstantsReport:
     eqhyp_status: str           # certified-true | certified-false | indeterminate | not-evaluated
     desk_scale: bool            # schedule infeasible at these inputs; c-chain still valid
 
-    @property
-    def eqhyp_ok(self) -> bool:
-        return self.eqhyp_status == "certified-true"
-
 
 def _log_sym(sym: Optional[tuple[Fraction, Fraction]], iv: IntervalReal,
              digits: int) -> IntervalReal:
@@ -155,10 +147,7 @@ def _chain(sys: GFunctionSystem, digits: int):
     H = sys.D_poly.height()
     C = sys.C
     cd_coef, cd_exp = sys.CD_sym()
-    if sys.Dgrowth_sym is not None:
-        d_coef, d_exp = sys.Dgrowth_sym
-    else:
-        d_coef, d_exp = sys.Dgrowth_rat, Fraction(0)
+    d_coef, d_exp = sys.D_sym()
 
     chi_coef = 4 * H * C * cd_coef ** (8 * N * d + 1)
     chi_exp = cd_exp * (8 * N * d + 1)
@@ -179,6 +168,14 @@ def _chain(sys: GFunctionSystem, digits: int):
         c6 = c6 * exp_frac(e_total, g)
     c6 = c6.round_sig(digits + 2)
     return chi, chi_sym, c6
+
+
+def _schedule_x(b: int, a: int, chi: IntervalReal,
+                chi_sym: tuple[Fraction, Fraction], digits: int) -> IntervalReal:
+    """x = log b / (3 log(c1 |a|)), from logarithms at `digits` digits."""
+    aa = abs(a)
+    return log_frac(Fraction(b), digits) / (3 * _log_sym((chi_sym[0] * aa, chi_sym[1]),
+                                                         chi * aa, digits))
 
 
 def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
@@ -206,9 +203,7 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     c3 = c5 / 3
 
     log2 = log2_enclosure(digits + 6)
-    logb = log_frac(Fraction(b), digits + 6)
-    log_chia = _log_sym((chi_sym[0] * aa, chi_sym[1]), chi * aa, digits + 6)
-    x = (logb / (3 * log_chia)).round_sig(digits + 2)
+    x = _schedule_x(b, a, chi, chi_sym, digits + 6).round_sig(digits + 2)
 
     c7 = (6 * (N + 2) ** 2 * _log_sym(chi_sym, chi, digits + 6)).round_sig(digits + 2)
     log_c6 = log_interval(c6, digits + 6)
@@ -218,19 +213,17 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
 
     c4_ref, c4_disc = _reference_c4(sys, c4, digits)
 
-    hyp_b_ok = x.lo > N + 2
-    # hypothesis on m: m >= c3 log(b)/log(|a|+1)
-    if aa >= 1:
-        log_a1 = log_frac(Fraction(aa + 1), digits + 6)
-        m_threshold = c3 * logb / log_a1
-        hyp_m_ok = (True if m_threshold.hi <= m
-                    else False if m_threshold.lo > m else None)
-    else:
-        hyp_m_ok = None
+    def x_exceeds(n: int) -> bool:
+        # x > n iff b > (chi |a|)^{3n}: decided exactly when x's enclosure straddles n
+        return x.lo > n or (
+            x.hi > n and not _le_epower(b, (chi_sym[0] * aa, chi_sym[1]), 3 * n, digits))
 
-    # x > N+1 iff b > (chi |a|)^{3(N+1)}: decided exactly when x's enclosure straddles
-    schedule_ok = x.lo > N + 1 or (
-        x.hi > N + 1 and not _le_epower(b, (chi_sym[0] * aa, chi_sym[1]), 3 * (N + 1), digits))
+    hyp_b_ok = x_exceeds(N + 2)
+    # hypothesis on m: m >= c3 log(b)/log(|a|+1)
+    hyp_m_ok = (c3 * log_frac(Fraction(b), digits + 6)
+                / log_frac(Fraction(aa + 1), digits + 6)).le(m)
+
+    schedule_ok = x_exceeds(N + 1)
     if not schedule_ok and not allow_desk_scale:
         raise HypothesisUnmetError(
             f"hypothesis (smallness of (c1|a|)^c2 against b) fails: x <= {N + 1}")
@@ -239,13 +232,10 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     beta = None
     eqhyp_status = "not-evaluated"
     if schedule_ok:
-        h = _floor_certified(lambda dg: Fraction(m) / (log_frac(Fraction(b), dg)
-                                                       / (3 * _log_sym((chi_sym[0] * aa, chi_sym[1]), chi * aa, dg))
-                                                       - (N + 1)), digits)
+        h = _floor_certified(
+            lambda dg: Fraction(m) / (_schedule_x(b, a, chi, chi_sym, dg) - (N + 1)), digits)
         if h >= 1:
-            p = _floor_certified(lambda dg: (log_frac(Fraction(b), dg)
-                                             / (3 * _log_sym((chi_sym[0] * aa, chi_sym[1]), chi * aa, dg))) * h,
-                                 digits)
+            p = _floor_certified(lambda dg: _schedule_x(b, a, chi, chi_sym, dg) * h, digits)
             q_exact = (N + y) * h
             q = q_exact.numerator // q_exact.denominator
             beta = frac_pow(Fraction(b), t / h, digits + 2) if t else IntervalReal.point(1)
@@ -314,20 +304,12 @@ def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
     C = sys.C
     aa = abs(a)
     cd_coef, cd_exp = sys.CD_sym()
-    if sys.Dgrowth_sym is not None:
-        dg_coef, dg_exp = sys.Dgrowth_sym
-    else:
-        dg_coef, dg_exp = sys.Dgrowth_rat, Fraction(0)
+    dg_coef, dg_exp = sys.D_sym()
 
     def lhs_at(dg: int) -> IntervalReal:
         g = dg + 10
-        x = report.x
-        if dg != digits:
-            # re-derive x at higher precision
-            logb = log_frac(Fraction(b), g)
-            log_chia = _log_sym((report.chi_sym[0] * aa, report.chi_sym[1]),
-                                report.chi * aa, g)
-            x = logb / (3 * log_chia)
+        # re-derive x at higher precision
+        x = report.x if dg == digits else _schedule_x(b, a, report.chi, report.chi_sym, g)
         one = IntervalReal.point(1)
         lhs = frac_pow(Fraction(2), 2 * N + (d + 1) * y, g)
         lhs = lhs * frac_pow(H, y, g) if H != 1 else lhs

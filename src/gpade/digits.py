@@ -26,7 +26,8 @@ from typing import Optional, Union
 from .catalog import GFunctionSystem
 from .constants import ConstantsConfig, compute_constants
 from .errors import InsufficientDigitsError, PreconditionError
-from .intervals import PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor
+from .intervals import (PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor,
+                        width_digits)
 from .transcend import log_frac
 from .verify import value_producer
 
@@ -93,10 +94,7 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
         return _expand_exact(Fraction(value), base, count)
 
     # decimal digits needed so the interval is narrower than one cell at depth count
-    need = 1
-    cell = Fraction(1, base ** (count + 1))
-    while Fraction(1, 10 ** need) > cell:
-        need += 1
+    need = width_digits(Fraction(1, base ** (count + 1)))
     scale = base ** count
     floor, iv = decide(value.enclosure, lambda iv: settled_floor(iv * scale), need + 2)
     if floor is not None:
@@ -312,7 +310,7 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
     coef, e_exp = constants.c1_sym
     log_c1a = log_frac(coef * aa, digits) + IntervalReal.point(e_exp)
     need1 = constants.c2 * log_c1a
-    hyp1 = True if logbs.lo > need1.hi else False if logbs.hi <= need1.lo else None
+    hyp1 = need1.lt(logbs)
     need2 = constants.c4 * 2 / eps * log_frac(Fraction(aa + 1), digits)
     hyp2 = logbs.ge(need2)
 

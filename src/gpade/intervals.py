@@ -208,17 +208,9 @@ class IntervalReal:
         other = self._coerce(other)
         return self.hi < other.lo
 
-    def certainly_le(self, other) -> bool:
-        other = self._coerce(other)
-        return self.hi <= other.lo
-
     def certainly_gt(self, other) -> bool:
         other = self._coerce(other)
         return self.lo > other.hi
-
-    def certainly_ge(self, other) -> bool:
-        other = self._coerce(other)
-        return self.lo >= other.hi
 
     # tristate comparisons of every point of self with every point of other:
     # True or False when all pairs agree, None when the enclosures overlap
@@ -291,12 +283,7 @@ def frac_nth_root_rel(f: Fraction, n: int, sig: int) -> IntervalReal:
         raise PreconditionError("frac_nth_root_rel needs f > 0, n >= 1")
     # choose k so that f * 10^(n*k) has at least sig*n digits, then root once
     mag = _decimal_digits(f.numerator) - _decimal_digits(f.denominator)
-    k = max(0, sig + 2 - (mag // n))
-    scale = 10 ** k
-    m = (f.numerator * scale ** n) // f.denominator
-    lo = inth_root_floor(m, n)
-    hi = lo if lo ** n * f.denominator == f.numerator * scale ** n else lo + 1
-    return IntervalReal(Fraction(lo, scale), Fraction(hi, scale))
+    return frac_nth_root(f, n, max(0, sig + 2 - (mag // n)))
 
 
 @contextmanager
@@ -372,15 +359,15 @@ class CertifiedReal:
         if width <= 0:
             raise PreconditionError("target width must be positive")
         ok, iv = decide(self.enclosure, lambda iv: iv.width <= width or None,
-                        max(self._best_digits, _width_digits(width) + 1))
+                        max(self._best_digits, width_digits(width) + 1))
         if ok is None:
             raise InsufficientPrecisionError(
                 f"cannot reach width {width} within precision cap {PRECISION_CAP.get()}")
         return iv
 
 
-def _width_digits(width: Fraction) -> int:
-    """Smallest d with 10^-d <= width ... i.e. digits needed to hit `width`."""
+def width_digits(width: Fraction) -> int:
+    """Smallest d >= 0 with 10^-d <= width: the decimal digits that reach `width`."""
     d = 0
     w = Fraction(1)
     while w > width:

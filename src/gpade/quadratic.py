@@ -197,16 +197,9 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
     # direct hypothesis b > (c1 |a|)^{c2}
     log_b = log_frac(Fraction(b), digits)
     log_rhs = (log_frac(coef * abs(a), digits) + IntervalReal.point(e_exp)) * c2
-    hyp_b_ok: Optional[bool]
-    if log_b.lo > log_rhs.hi:
-        hyp_b_ok = True
-    elif log_b.hi <= log_rhs.lo:
-        hyp_b_ok = False
-    else:
-        hyp_b_ok = None
+    hyp_b_ok = log_rhs.lt(log_b)
 
-    m_threshold = constants.c3 * log_frac(Fraction(b), digits) \
-        / log_frac(Fraction(1 + v * abs(a)), digits)
+    m_threshold = constants.c3 * log_b / log_frac(Fraction(1 + v * abs(a)), digits)
 
     # identity sqrt(1 - a/b) * alpha/beta = sqrt(d): 1 - a/b is an exact rational
     width_digits = max(digits, 32)

@@ -19,6 +19,8 @@ STATUS_CERTIFIED = "certified"
 STATUS_VIOLATED = "violated"
 STATUS_INDETERMINATE = "indeterminate"
 STATUS_HYPOTHESIS_UNMET = "hypothesis-unmet"
+# the status of a check that rests on one tristate decision
+TRISTATE_STATUS = {True: STATUS_CERTIFIED, False: STATUS_VIOLATED, None: STATUS_INDETERMINATE}
 
 FORMAT_VERSION = "1"
 
@@ -68,6 +70,16 @@ def fmt_tristate(b: Optional[bool]) -> str:
     if b is None:
         return STATUS_INDETERMINATE
     return fmt_bool(b)
+
+
+def fmt_sym(sym: Optional[tuple[Fraction, Fraction]]) -> str:
+    """coef*e^exp of a closed form (coef, exp); indeterminate when there is none."""
+    if sym is None:
+        return STATUS_INDETERMINATE
+    coef, e_exp = sym
+    if e_exp == 0:
+        return fmt_fraction(coef)
+    return f"{fmt_fraction(coef)}*e^{fmt_fraction(e_exp)}"
 
 
 def format_value(v) -> str:

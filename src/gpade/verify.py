@@ -21,8 +21,9 @@ from .constants import ConstantsConfig, ConstantsReport, compute_constants
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
 from .errors import (InsufficientPrecisionError, InternalCertificateError,
                      NoConvergentTailBound, PreconditionError)
-from .intervals import CertifiedReal, IntervalReal, decide, frac_pow
+from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, width_digits
 from .pade import build_approximant
+from .report import TRISTATE_STATUS
 from .transcend import log_frac
 
 Scalar = Union[int, Fraction]
@@ -62,11 +63,7 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
         zpow *= z
     iv = IntervalReal(total - tail, total + tail)
     # outward-round to keep endpoint sizes proportional to the request
-    grid = 1
-    wq = width / 4
-    while Fraction(1, 10 ** grid) > wq:
-        grid += 1
-    return iv.round_out(grid)
+    return iv.round_out(max(1, width_digits(width / 4)))
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
@@ -74,16 +71,12 @@ def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
     z = Fraction(z)
     if z != 0 and sys.C * abs(z) >= 1:
         raise NoConvergentTailBound("C|z| >= 1: no convergent tail bound")
-    cache = getattr(sys, "_value_cache", None)
-    if cache is None:
-        cache = {}
-        sys._value_cache = cache
     key = (j, z)
-    if key not in cache:
-        cache[key] = CertifiedReal(
+    if key not in sys._value_cache:
+        sys._value_cache[key] = CertifiedReal(
             lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
             name=f"{sys.name}:F_{j}({z})")
-    return cache[key]
+    return sys._value_cache[key]
 
 
 @dataclass
@@ -183,9 +176,6 @@ class VerifyReport:
         return self.status == "certified"
 
 
-_STATUS = {True: "certified", False: "violated", None: "indeterminate"}
-
-
 def _decide_distance(value: CertifiedReal, offset: Fraction, threshold: Fraction,
                      start: int = 24) -> tuple[Optional[bool], IntervalReal]:
     """Decide |value - offset| >= threshold by escalation; None at the cap."""
@@ -235,7 +225,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
         chain = replay_chain(work_sys, aa, b, B, m, n, j, pqh, value)
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
-                        lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=_STATUS[ok],
+                        lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],
                         constants=constants, hypothesis_ok=hyp_ok, chain=chain)
 
 
@@ -350,12 +340,12 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
     # b > (|a|+1)^{2 c4 / eps}: compare log b against (2 c4 / eps) log(|a|+1)
     logb = log_frac(Fraction(b), digits)
     need = constants.c4 * 2 / eps * log_frac(Fraction(abs(a) + 1), digits)
-    hyp_b = True if logb.lo > need.hi else False if logb.hi <= need.lo else None
+    hyp_b = need.lt(logb)
     hyp_m = m >= 2 * t / eps
 
     rhs = frac_pow(Fraction(1, b), m * (1 + eps), digits).hi
     value = value_producer(work_sys, j, Fraction(aa, b))
     offset = Fraction(n, B * b ** m)
     ok, lhs_iv = _decide_distance(value, offset, rhs)
-    return CorollaryReport(eps=eps, rhs=rhs, status=_STATUS[ok],
+    return CorollaryReport(eps=eps, rhs=rhs, status=TRISTATE_STATUS[ok],
                            hyp_b_ok=hyp_b, hyp_m_ok=hyp_m, lhs=lhs_iv)

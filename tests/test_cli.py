@@ -217,6 +217,20 @@ def test_constants_exact_schedule_decision(tmp_path, capsys):
     assert code == 2
 
 
+def test_constants_hyp_b_decided_exactly_when_x_straddles(tmp_path, capsys):
+    # c1 = 2^21, so x = log b / (3 log c1) is 3 = N+2 at b = 2^189; at 16 digits
+    # the enclosure of x straddles 3 on both sides of it
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    for b, expected in ((2 ** 189 + 1, "true"), (2 ** 189 - 1, "false")):
+        code, out = run_cli(capsys, "constants", "--system", str(path), "--a", "1",
+                            "--b", str(b), "--t", "0", "--m", "1", "--precision", "16")
+        assert code == 0
+        rec = parse_report(out)[1][0]
+        assert rec["x"].endswith("~ 2.999999999999..3.000000000001")
+        assert rec["hyp-b-ok"] == expected
+
+
 def test_max_precision_caps_every_decision(capsys):
     argv = ["sqrt", "--d", "2", "--convergents", "6", "--scan-m", "1:4"]
     code, _ = run_cli(capsys, *argv)
@@ -233,15 +247,15 @@ def test_max_precision_caps_every_decision(capsys):
 def test_suite_counts_undecided_block_cells_apart(capsys, monkeypatch):
     import dataclasses
 
-    import gpade.cli
-    original = gpade.cli.theorem2_convergent
+    import gpade.acceptance
+    original = gpade.acceptance.theorem2_convergent
 
     def undecided_at_one_cell(ds, value, t, n):
         conv = original(ds, value, t, n)
         # (1, 10) is a strict-bound violation; undecided, it must not count as one
         return dataclasses.replace(conv, holds=None) if (t, n) == (1, 10) else conv
 
-    monkeypatch.setattr(gpade.cli, "theorem2_convergent", undecided_at_one_cell)
+    monkeypatch.setattr(gpade.acceptance, "theorem2_convergent", undecided_at_one_cell)
     code, out = run_cli(capsys, "suite", "--quick")
     assert code == 0
     rec = next(r for r in parse_report(out)[1] if r["record"] == "suite-block-convergents")

@@ -3,7 +3,9 @@
 Each report under tests/oracles/golden/ was frozen from a known-good tree,
 together with the command's exit code.  A refactor that changes any byte of
 a report, or an exit code, fails here.  `iterate` uses the --system form,
-since --from would echo a temporary path into the report.
+since --from would echo a temporary path into the report.  The full `suite`
+report is frozen here as suite.txt too; test_acceptance.py renders the suite
+it has already computed and compares it with that file, so it runs once.
 
 Regenerate the files (only when a report is meant to change) with:
 
@@ -57,7 +59,7 @@ def test_golden_report(name):
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, (argv, expected_code) in COMMANDS.items():
+    for name, (argv, expected_code) in {**COMMANDS, "suite": (["suite"], 0)}.items():
         code, out = _run(argv)
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
