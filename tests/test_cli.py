@@ -219,7 +219,7 @@ def test_constants_exact_schedule_decision(tmp_path, capsys):
 
 def test_constants_hyp_b_decided_exactly_when_x_straddles(tmp_path, capsys):
     # c1 = 2^21, so x = log b / (3 log c1) is 3 = N+2 at b = 2^189; at 16 digits
-    # the enclosure of x straddles 3 on both sides of it
+    # the enclosure of x straddles 3 for both b = 2^189 + 1 and b = 2^189 - 1
     path = tmp_path / "binom.txt"
     path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
     for b, expected in ((2 ** 189 + 1, "true"), (2 ** 189 - 1, "false")):
