@@ -11,9 +11,9 @@ Y = (F_0 = 1, F_1, ..., F_N) of power series solving Y' = A(z) Y:
   * growth constants: rational C with |f_{j,n}| <= C^{n+1}, and Dgrowth
     with d_n <= Dgrowth^{n+1}, certified over `verified_range`.
 
-Dgrowth may be irrational (e.g. e^s for the polylog family); it is carried
-either symbolically as coef * e^exponent or as a fitted rational, and always
-materializes as a certified IntervalReal on request.
+Dgrowth has one form, the closed form Dgrowth_sym = (coef, e_exp) for
+coef * e^e_exp: e^s for polylogs, a fitted rational (e_exp = 0) for binomial
+powers.  transcend.le_epower compares against its powers, exactly for a rational.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .errors import InsufficientPrecisionError, PreconditionError
-from .intervals import CertifiedReal, IntervalReal, decide, frac_nth_root
+from .errors import PreconditionError
+from .intervals import CertifiedReal, IntervalReal, frac_nth_root
 from .polynomial import Poly, SeriesTrunc, lcm_range
 from .ratfun import RatFunMatrix
-from .transcend import exp_frac
+from .transcend import EPower, exp_frac, le_epower
 
 Scalar = Union[int, Fraction]
 
@@ -58,9 +58,7 @@ class GFunctionSystem:
 
     def __init__(self, name: str, N: int, coeff: Callable[[int, int], Fraction],
                  denom: Callable[[int], int], A: RatFunMatrix, D_poly: Poly,
-                 d: int, C: Fraction,
-                 Dgrowth_sym: Optional[tuple[Fraction, Fraction]] = None,
-                 Dgrowth_rat: Optional[Fraction] = None,
+                 d: int, C: Fraction, Dgrowth_sym: EPower,
                  params: Optional[dict] = None,
                  validate: bool = True):
         self.name = name
@@ -72,9 +70,6 @@ class GFunctionSystem:
         self.d = d
         self.C = Fraction(C)
         self.Dgrowth_sym = Dgrowth_sym
-        self.Dgrowth_rat = Fraction(Dgrowth_rat) if Dgrowth_rat is not None else None
-        if (self.Dgrowth_sym is None) == (self.Dgrowth_rat is None):
-            raise PreconditionError("exactly one of Dgrowth_sym / Dgrowth_rat required")
         self.params = dict(params or {})
         self.verified_range = 0
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
@@ -134,23 +129,14 @@ class GFunctionSystem:
     # -- growth data ------------------------------------------------------
 
     def Dgrowth(self, digits: int = 32) -> IntervalReal:
-        if self.Dgrowth_rat is not None:
-            return IntervalReal.point(self.Dgrowth_rat)
         coef, e_exp = self.Dgrowth_sym
+        if e_exp == 0:
+            return IntervalReal.point(coef)
         return (coef * exp_frac(e_exp, digits + 2)).round_sig(digits)
 
-    def CD(self, digits: int = 32) -> IntervalReal:
-        return self.C * self.Dgrowth(digits)
-
-    def D_sym(self) -> tuple[Fraction, Fraction]:
-        """Dgrowth as (coef, e_exponent), coef * e^e_exponent; exponent 0 when rational."""
-        if self.Dgrowth_sym is not None:
-            return self.Dgrowth_sym
-        return (self.Dgrowth_rat, Fraction(0))
-
-    def CD_sym(self) -> tuple[Fraction, Fraction]:
+    def CD_sym(self) -> EPower:
         """C * Dgrowth as (coef, e_exponent)."""
-        coef, e_exp = self.D_sym()
+        coef, e_exp = self.Dgrowth_sym
         return (self.C * coef, e_exp)
 
     # -- derived structures ------------------------------------------------
@@ -201,10 +187,14 @@ class GFunctionSystem:
         sysn = GFunctionSystem(
             name=self.name + "@neg", N=self.N, coeff=coeff, denom=self._denom,
             A=RatFunMatrix(A_entries), D_poly=flip(self.D_poly), d=self.d,
-            C=self.C, Dgrowth_sym=self.Dgrowth_sym, Dgrowth_rat=self.Dgrowth_rat,
-            params=dict(self.params), validate=False)
+            C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params),
+            validate=False)
         sysn.verified_range = self.verified_range
         return sysn
+
+    def sign_reduced(self, a: int) -> tuple["GFunctionSystem", int]:
+        """(system, |a|) whose value at |a|/b is this system's at a/b: negated when a < 0."""
+        return (self, a) if a > 0 else (self.negated(), -a)
 
     def __repr__(self) -> str:
         return f"GFunctionSystem({self.name!r}, N={self.N})"
@@ -213,9 +203,9 @@ class GFunctionSystem:
 def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthReport:
     """Exactly check |f_{j,n}| <= C^{n+1} and d_n <= Dgrowth^{n+1} for n <= n_max.
 
-    The Dgrowth comparison against a symbolic e-power escalates interval
-    precision until decided (an integer never equals a transcendental, so
-    this terminates).  Updates sys.verified_range on full success.
+    The Dgrowth comparison is transcend.le_epower: exact for a rational, and
+    escalated until decided against an e-power (an integer never equals a
+    transcendental).  Updates sys.verified_range on full success.
     """
     first_C = None
     for n in range(0, n_max + 1):
@@ -229,12 +219,7 @@ def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthR
 
     first_D = None
     for n in range(0, n_max + 1):
-        dn = sys.denominator(n)
-        if sys.Dgrowth_rat is not None:
-            ok = dn <= sys.Dgrowth_rat ** (n + 1)
-        else:
-            ok = _le_epower(dn, sys.Dgrowth_sym, n + 1, digits)
-        if not ok:
+        if not le_epower(sys.denominator(n), sys.Dgrowth_sym, n + 1, digits):
             first_D = n
             break
 
@@ -243,16 +228,6 @@ def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthR
     if rep.ok:
         sys.verified_range = max(sys.verified_range, n_max)
     return rep
-
-
-def _le_epower(value: int, sym: tuple[Fraction, Fraction], power: int, digits: int) -> bool:
-    """Decide value <= (coef * e^e_exp)^power by escalating enclosures."""
-    coef, e_exp = sym
-    le, _ = decide(lambda dg: (coef ** power) * exp_frac(e_exp * power, dg),
-                   lambda iv: iv.ge(value), digits)
-    if le is None:
-        raise InsufficientPrecisionError("growth comparison undecidable at cap")
-    return le
 
 
 # -- builtin families -------------------------------------------------------
@@ -338,7 +313,7 @@ def _binom_power(alpha: Fraction, fit_range: int = DEFAULT_FIT_RANGE) -> GFuncti
         A=RatFunMatrix([[(Poly(), Poly([1])), (Poly(), Poly([1]))],
                         [(Poly(), Poly([1])), (Poly([-alpha]), Poly([1, -1]))]]),
         D_poly=Poly([v, -v]), d=1, C=C,
-        Dgrowth_rat=g, params={"alpha": alpha, "fit_range": fit_range})
+        Dgrowth_sym=(g, Fraction(0)), params={"alpha": alpha, "fit_range": fit_range})
     rep = verify_growth(sysb, fit_range)
     if not rep.ok:
         raise PreconditionError(f"fitted growth constants fail on fit range: {rep}")
@@ -419,12 +394,8 @@ def parse_system(text: str) -> GFunctionSystem:
         if "Dgrowth" in overrides:
             spec = overrides["Dgrowth"]
             sys.verified_range = 0
-            if spec.startswith("e^"):
-                sys.Dgrowth_sym = (Fraction(1), Fraction(spec[2:]))
-                sys.Dgrowth_rat = None
-            else:
-                sys.Dgrowth_rat = Fraction(spec)
-                sys.Dgrowth_sym = None
+            sys.Dgrowth_sym = ((Fraction(1), Fraction(spec[2:])) if spec.startswith("e^")
+                               else (Fraction(spec), Fraction(0)))
         rep = verify_growth(sys, DEFAULT_FIT_RANGE)
         if not rep.ok:
             raise PreconditionError(f"overridden growth constants fail verification: {rep}")

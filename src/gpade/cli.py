@@ -258,7 +258,7 @@ def cmd_verify(args, echo: str) -> ReportWriter:
 def cmd_digits(args, echo: str) -> ReportWriter:
     system = resolve_system(args.system)
     j = args.j if args.j is not None else system.N
-    work, aa = (system, args.a) if args.a > 0 else (system.negated(), -args.a)
+    work, aa = system.sign_reduced(args.a)
     z = Fraction(aa, args.b ** args.s)
     if work.C * z >= 1:
         raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")

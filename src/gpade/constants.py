@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .catalog import GFunctionSystem, _le_epower
+from .catalog import GFunctionSystem
 from .derivation import IteratedFamily
 from .errors import (HypothesisUnmetError, InsufficientPrecisionError,
                      PreconditionError)
-from .intervals import IntervalReal, decide, frac_pow, settled_floor
+from .intervals import PRECISION_CAP, IntervalReal, _decimal_digits, decide, frac_pow
 from .pade import PadeApproximant
-from .transcend import exp_frac, exp_interval, log2_enclosure, log_frac, log_interval
+from .transcend import (EPower, exp_frac, exp_interval, le_epower, log2_enclosure, log_epower,
+                        log_frac, log_interval)
 
 Scalar = Union[int, Fraction]
 
@@ -62,7 +63,7 @@ def bound_height_Qk(approx: PadeApproximant, sys: GFunctionSystem, k: int,
     if Nh == 0:
         siegel_factor = Fraction(1)
     else:
-        cd_hi = sys.CD(digits).hi
+        cd_hi = (sys.C * sys.Dgrowth(digits)).hi
         base = q * cd_hi ** (p + h + 1)
         siegel_factor = frac_pow(base, Fraction(Nh, q + 1 - Nh), digits).hi
     return Fraction(2) ** (2 * q + (d - 1) * k + 1) * H ** k * siegel_factor
@@ -108,9 +109,9 @@ class ConstantsReport:
     N: int
     d: int
     chi: IntervalReal
-    chi_sym: Optional[tuple[Fraction, Fraction]]   # chi = coef * e^exponent when available
+    chi_sym: EPower             # chi = coef * e^exponent
     c1: IntervalReal
-    c1_sym: Optional[tuple[Fraction, Fraction]]
+    c1_sym: EPower
     c2: int
     c3: Fraction
     c5: Fraction
@@ -132,22 +133,13 @@ class ConstantsReport:
     desk_scale: bool            # schedule infeasible at these inputs; c-chain still valid
 
 
-def _log_sym(sym: Optional[tuple[Fraction, Fraction]], iv: IntervalReal,
-             digits: int) -> IntervalReal:
-    """log of a positive quantity, using coef*e^k structure when available."""
-    if sym is not None:
-        coef, e_exp = sym
-        return log_frac(coef, digits) + IntervalReal.point(e_exp)
-    return log_interval(iv, digits)
-
-
 def _chain(sys: GFunctionSystem, digits: int):
     """chi (with its closed form) and the b-independent constant c6."""
     N, d = sys.N, sys.d
     H = sys.D_poly.height()
     C = sys.C
     cd_coef, cd_exp = sys.CD_sym()
-    d_coef, d_exp = sys.D_sym()
+    d_coef, d_exp = sys.Dgrowth_sym
 
     chi_coef = 4 * H * C * cd_coef ** (8 * N * d + 1)
     chi_exp = cd_exp * (8 * N * d + 1)
@@ -170,12 +162,9 @@ def _chain(sys: GFunctionSystem, digits: int):
     return chi, chi_sym, c6
 
 
-def _schedule_x(b: int, a: int, chi: IntervalReal,
-                chi_sym: tuple[Fraction, Fraction], digits: int) -> IntervalReal:
+def _schedule_x(b: int, c1a: EPower, digits: int) -> IntervalReal:
     """x = log b / (3 log(c1 |a|)), from logarithms at `digits` digits."""
-    aa = abs(a)
-    return log_frac(Fraction(b), digits) / (3 * _log_sym((chi_sym[0] * aa, chi_sym[1]),
-                                                         chi * aa, digits))
+    return log_frac(Fraction(b), digits) / (3 * log_epower(c1a, digits))
 
 
 def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
@@ -197,15 +186,16 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     aa = abs(a)
 
     chi, chi_sym, c6 = _chain(sys, digits)
+    c1a = (chi_sym[0] * aa, chi_sym[1])
     c2 = 3 * (N + 2)
     y = Fraction(1, 4 * (d + 1))
     c5 = max(config.h0, config.h1, config.h2, Fraction(8 * N * N * d ** 3), 4 * t)
     c3 = c5 / 3
 
     log2 = log2_enclosure(digits + 6)
-    x = _schedule_x(b, a, chi, chi_sym, digits + 6).round_sig(digits + 2)
+    x = _schedule_x(b, c1a, digits + 6).round_sig(digits + 2)
 
-    c7 = (6 * (N + 2) ** 2 * _log_sym(chi_sym, chi, digits + 6)).round_sig(digits + 2)
+    c7 = (6 * (N + 2) ** 2 * log_epower(chi_sym, digits + 6)).round_sig(digits + 2)
     log_c6 = log_interval(c6, digits + 6)
     log_2c6 = log_c6 + log2
     c8 = (log_2c6 / log2 * c7).round_sig(digits + 2)
@@ -214,9 +204,8 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     c4_ref, c4_disc = _reference_c4(sys, c4, digits)
 
     def x_exceeds(n: int) -> bool:
-        # x > n iff b > (chi |a|)^{3n}: decided exactly when x's enclosure straddles n
-        return x.lo > n or (
-            x.hi > n and not _le_epower(b, (chi_sym[0] * aa, chi_sym[1]), 3 * n, digits))
+        # x > n iff b > (c1 |a|)^{3n}: decided exactly when x's enclosure straddles n
+        return x.lo > n or (x.hi > n and not le_epower(b, c1a, 3 * n, digits))
 
     hyp_b_ok = x_exceeds(N + 2)
     # hypothesis on m: m >= c3 log(b)/log(|a|+1)
@@ -232,10 +221,20 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     beta = None
     eqhyp_status = "not-evaluated"
     if schedule_ok:
+        # A straddled k is decided exactly while b^k (for h) or b^h (for p) has at most
+        # PRECISION_CAP decimal digits: h >= k iff b^k <= (c1 |a|)^{3((N+1)k + m)}, and
+        # p >= k iff b^h >= (c1 |a|)^{3k}, that is 1/b^h <= (1/(c1 |a|))^{3k}.
+        e_max = PRECISION_CAP.get() // _decimal_digits(b)
         h = _floor_certified(
-            lambda dg: Fraction(m) / (_schedule_x(b, a, chi, chi_sym, dg) - (N + 1)), digits)
+            lambda dg: Fraction(m) / (_schedule_x(b, c1a, dg) - (N + 1)),
+            lambda k: le_epower(b ** k, c1a, 3 * ((N + 1) * k + m), digits) if k <= e_max else None,
+            digits)
         if h >= 1:
-            p = _floor_certified(lambda dg: _schedule_x(b, a, chi, chi_sym, dg) * h, digits)
+            inv = (1 / c1a[0], -c1a[1])
+            p = _floor_certified(
+                lambda dg: _schedule_x(b, c1a, dg) * h,
+                lambda k: le_epower(Fraction(1, b ** h), inv, 3 * k, digits) if h <= e_max else None,
+                digits)
             q_exact = (N + y) * h
             q = q_exact.numerator // q_exact.denominator
             beta = frac_pow(Fraction(b), t / h, digits + 2) if t else IntervalReal.point(1)
@@ -256,9 +255,20 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     return report
 
 
-def _floor_certified(producer, digits: int) -> int:
-    """floor of an interval-valued quantity, escalating until both endpoints agree."""
-    floor, _ = decide(producer, settled_floor, digits)
+def _floor_certified(producer, at_least, digits: int) -> int:
+    """floor of an interval-valued quantity v, escalating until both endpoints agree.
+
+    When the enclosure straddles one integer k, at_least(k) decides v >= k
+    exactly, or returns None to escalate further.
+    """
+    def verdict(iv: IntervalReal) -> Optional[int]:
+        lo, k = (e.numerator // e.denominator for e in (iv.lo, iv.hi))
+        if k != lo + 1:
+            return lo if lo == k else None
+        ge = at_least(k)
+        return None if ge is None else k if ge else lo
+
+    floor, _ = decide(producer, verdict, digits)
     if floor is None:
         raise InsufficientPrecisionError(
             "floor undecided at precision cap (value too close to an integer)")
@@ -303,26 +313,25 @@ def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
     H = sys.D_poly.height()
     C = sys.C
     aa = abs(a)
-    cd_coef, cd_exp = sys.CD_sym()
-    dg_coef, dg_exp = sys.D_sym()
+    c1a = (report.c1_sym[0] * aa, report.c1_sym[1])
+    cd_sym = sys.CD_sym()
+    dg_coef, dg_exp = sys.Dgrowth_sym
 
     def lhs_at(dg: int) -> IntervalReal:
         g = dg + 10
         # re-derive x at higher precision
-        x = report.x if dg == digits else _schedule_x(b, a, report.chi, report.chi_sym, g)
+        x = report.x if dg == digits else _schedule_x(b, c1a, g)
         one = IntervalReal.point(1)
         lhs = frac_pow(Fraction(2), 2 * N + (d + 1) * y, g)
         lhs = lhs * frac_pow(H, y, g) if H != 1 else lhs
         # (CD)^{(x+1)N/y}
-        log_cd = _log_sym((cd_coef, cd_exp), sys.CD(g), g)
-        lhs = lhs * exp_interval((x + one) * Fraction(N) / y * log_cd, g)
+        lhs = lhs * exp_interval((x + one) * Fraction(N) / y * log_epower(cd_sym, g), g)
         lhs = lhs * frac_pow(C, N + d * y, g) if C != 1 else lhs
         # (C|a|/b)^{x+1-y}, base in (0,1) so the log is negative
         base5 = C * Fraction(aa, b)
         lhs = lhs * exp_interval((x + 1 - y) * log_frac(base5, g), g)
         # (b*D)^{x+dy}
-        log_bD = log_frac(b * dg_coef, g) + IntervalReal.point(dg_exp)
-        lhs = lhs * exp_interval((x + d * y) * log_bD, g)
+        lhs = lhs * exp_interval((x + d * y) * log_epower((b * dg_coef, dg_exp), g), g)
         return (lhs * report.beta).round_sig(g)
 
     verdict, _ = decide(lhs_at, lambda iv: iv.lt(Fraction(1, 2)), digits)

@@ -28,7 +28,7 @@ from .constants import ConstantsConfig, compute_constants
 from .errors import InsufficientDigitsError, PreconditionError
 from .intervals import (PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor,
                         width_digits)
-from .transcend import log_frac
+from .transcend import le_epower, log_frac
 from .verify import value_producer
 
 Value = Union[Fraction, int, CertifiedReal]
@@ -66,25 +66,18 @@ class DigitString:
 
 
 def _expand_exact(value: Fraction, base: int, count: int) -> DigitString:
-    fl = value.numerator // value.denominator
-    frac = value - fl
-    digits = []
-    for _ in range(count):
-        frac *= base
-        d = frac.numerator // frac.denominator
-        digits.append(int(d))
-        frac -= d
-    return DigitString(base=base, integer_part=fl, digits=tuple(digits),
-                       certified_len=count, exact=True)
+    return _digits_from_floor(value.numerator * base ** count // value.denominator,
+                              base, count, exact=True)
 
 
 def expand_digits(value: Value, base: int, count: int) -> DigitString:
     """Certified expansion to `count` fractional digits.
 
-    Exact rationals expand by long division (terminating values continue with
-    zeros).  Certified values refine until the enclosure settles inside one
-    cell at depth `count`; if the precision cap is hit first, the returned
-    certified_len is the deepest level that did settle.
+    Exact rationals expand from the exact floor of value * base^count
+    (terminating values continue with zeros).  Certified values refine until
+    the enclosure settles inside one cell at depth `count`; if the precision
+    cap is hit first, the returned certified_len is the deepest level that
+    did settle.
     """
     if base < 2:
         raise PreconditionError("base must be >= 2")
@@ -107,14 +100,15 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
     raise InsufficientDigitsError("no digit certifiable at precision cap")
 
 
-def _digits_from_floor(scaled_floor: int, base: int, count: int) -> DigitString:
+def _digits_from_floor(scaled_floor: int, base: int, count: int,
+                       exact: bool = False) -> DigitString:
     digits = []
     x = scaled_floor
     for _ in range(count):
         digits.append(x % base)
         x //= base
     return DigitString(base=base, integer_part=x, digits=tuple(reversed(digits)),
-                       certified_len=count)
+                       certified_len=count, exact=exact)
 
 
 def repetition_count(ds: DigitString, t: int, n: int) -> int:
@@ -280,7 +274,7 @@ class Theorem2Report:
     window: tuple[int, int]
     profile: RepetitionProfile
     empirical_ok: bool                     # max_ratio <= eps / t
-    hyp_growth_ok: Optional[bool]          # b^s > (c1 |a|)^{c2}
+    hyp_growth_ok: bool                    # b^s > (c1 |a|)^{c2}
     hyp_digit_ok: Optional[bool]           # b^s >= (|a|+1)^{2 c4 / eps}
     digits_used: int
 
@@ -294,7 +288,7 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
     if eps <= 0 or t < 1 or s < 1:
         raise PreconditionError("need eps > 0, t >= 1, s >= 1")
     j = sys.N if j is None else j
-    work_sys, aa = (sys, a) if a > 0 else (sys.negated(), -a)
+    work_sys, aa = sys.sign_reduced(a)
     z = Fraction(aa, b ** s)
     if sys.C * z >= 1:
         raise PreconditionError("C |a|/b^s must be < 1")
@@ -305,12 +299,9 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
 
     constants = compute_constants(work_sys, aa, b, Fraction(t), max(1, s), config,
                                   digits=digits, allow_desk_scale=True)
-    # b^s > (c1 |a|)^{c2}: via logs
-    logbs = s * log_frac(Fraction(b), digits)
     coef, e_exp = constants.c1_sym
-    log_c1a = log_frac(coef * aa, digits) + IntervalReal.point(e_exp)
-    need1 = constants.c2 * log_c1a
-    hyp1 = need1.lt(logbs)
+    hyp1 = not le_epower(b ** s, (coef * aa, e_exp), constants.c2, digits)
+    logbs = s * log_frac(Fraction(b), digits)
     need2 = constants.c4 * 2 / eps * log_frac(Fraction(aa + 1), digits)
     hyp2 = logbs.ge(need2)
 

@@ -26,7 +26,7 @@ from .catalog import GFunctionSystem, resolve_system
 from .constants import ConstantsConfig, ConstantsReport, compute_constants
 from .errors import InsufficientPrecisionError, InternalCertificateError, PreconditionError
 from .intervals import IntervalReal, decide, frac_nth_root, frac_pow
-from .transcend import exp_interval, log_frac, log_interval
+from .transcend import exp_interval, log_epower, log_frac, log_interval
 from .verify import _settled_nearest, eval_certified
 
 
@@ -153,7 +153,7 @@ class ReductionReport:
     constants: ConstantsReport
     N_d: IntervalReal                   # (c1 * (2 sqrt(d) + 1))^{c2/2}
     alpha_ge_Nd: bool
-    hyp_b_ok: Optional[bool]            # b > (c1 |a|)^{c2}
+    hyp_b_ok: bool                      # b > (c1 |a|)^{c2}, constants.hyp_b_ok
     m_threshold: IntervalReal           # c3 log(v alpha^2) / log(1 + v|a|)
     identity_width: Fraction            # |sqrt(1 - a/b) * alpha/beta - sqrt(d)| enclosure width
     identity_series_checked: bool
@@ -180,26 +180,20 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
 
     constants = compute_constants(sys, abs(a), b, t=Fraction(2), m=1, config=config,
                                   digits=digits, allow_desk_scale=True)
-    coef, e_exp = constants.c1_sym
-    c2 = constants.c2
 
     # N_d = (c1 c(d))^{c2/2} with c(d) = 2 sqrt(d) + 1
     def threshold(dg: int) -> IntervalReal:
         cd = sqrt_enclosure(d, dg) * 2 + 1
-        log_Nd = (log_frac(coef, dg) + IntervalReal.point(e_exp)
-                  + log_interval(cd, dg)) * Fraction(c2, 2)
+        log_Nd = (log_epower(constants.c1_sym, dg)
+                  + log_interval(cd, dg)) * Fraction(constants.c2, 2)
         return exp_interval(log_Nd, dg)
 
     alpha_ge_Nd, N_d = decide(threshold, lambda N_d: N_d.le(conv.alpha), digits)
     if alpha_ge_Nd is None:
         raise InsufficientPrecisionError("threshold comparison undecided at precision cap")
 
-    # direct hypothesis b > (c1 |a|)^{c2}
-    log_b = log_frac(Fraction(b), digits)
-    log_rhs = (log_frac(coef * abs(a), digits) + IntervalReal.point(e_exp)) * c2
-    hyp_b_ok = log_rhs.lt(log_b)
-
-    m_threshold = constants.c3 * log_b / log_frac(Fraction(1 + v * abs(a)), digits)
+    m_threshold = (constants.c3 * log_frac(Fraction(b), digits)
+                   / log_frac(Fraction(1 + v * abs(a)), digits))
 
     # identity sqrt(1 - a/b) * alpha/beta = sqrt(d): 1 - a/b is an exact rational
     width_digits = max(digits, 32)
@@ -219,7 +213,7 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
 
     return ReductionReport(d=d, alpha=conv.alpha, beta=conv.beta, a=a, b=b,
                            system_name=sys.name, constants=constants, N_d=N_d,
-                           alpha_ge_Nd=alpha_ge_Nd, hyp_b_ok=hyp_b_ok,
+                           alpha_ge_Nd=alpha_ge_Nd, hyp_b_ok=constants.hyp_b_ok,
                            m_threshold=m_threshold,
                            identity_width=identity_width,
                            identity_series_checked=series_checked)

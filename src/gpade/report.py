@@ -72,10 +72,8 @@ def fmt_tristate(b: Optional[bool]) -> str:
     return fmt_bool(b)
 
 
-def fmt_sym(sym: Optional[tuple[Fraction, Fraction]]) -> str:
-    """coef*e^exp of a closed form (coef, exp); indeterminate when there is none."""
-    if sym is None:
-        return STATUS_INDETERMINATE
+def fmt_sym(sym: tuple[Fraction, Fraction]) -> str:
+    """coef*e^exp of a closed form (coef, exp)."""
     coef, e_exp = sym
     if e_exp == 0:
         return fmt_fraction(coef)

@@ -16,10 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import PreconditionError
-from .intervals import IntervalReal, _decimal_digits, _frac
+from .errors import InsufficientPrecisionError, PreconditionError
+from .intervals import IntervalReal, _decimal_digits, _frac, decide
 
 Scalar = Union[int, Fraction]
+EPower = tuple[Fraction, Fraction]      # (coef, e_exp): coef * e^e_exp, coef > 0
 
 
 def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
@@ -120,6 +121,23 @@ def log_frac(x: Scalar, digits: int) -> IntervalReal:
     if k2:
         iv = iv + k2 * log2_enclosure(guard)
     return iv.round_out(digits)
+
+
+def log_epower(sym: EPower, digits: int) -> IntervalReal:
+    """Enclosure of log(coef * e^e_exp) = log(coef) + e_exp."""
+    coef, e_exp = sym
+    return log_frac(coef, digits) + IntervalReal.point(e_exp)
+
+
+def le_epower(value: Scalar, sym: EPower, power: int, digits: int) -> bool:
+    """Decide value <= (coef * e^e_exp)^power by escalating enclosures: exactly at the
+    first call when e_exp = 0, else against a transcendental that never equals value."""
+    coef, e_exp = sym
+    le, _ = decide(lambda dg: (coef ** power) * exp_frac(e_exp * power, dg),
+                   lambda iv: iv.ge(value), digits)
+    if le is None:
+        raise InsufficientPrecisionError("closed-form comparison undecided at precision cap")
+    return le
 
 
 def exp_interval(x: IntervalReal, digits: int) -> IntervalReal:

@@ -182,6 +182,14 @@ def _decide_distance(value: CertifiedReal, offset: Fraction, threshold: Fraction
     return decide(lambda dg: abs(value.enclosure(dg) - offset), lambda iv: iv.ge(threshold), start)
 
 
+def _ceil_log(B: int, b: int) -> int:
+    """Smallest integer t >= 0 with B <= b^t."""
+    t = 0
+    while b ** t < B:
+        t += 1
+    return t
+
+
 def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
                     config: Optional[ConstantsConfig] = None, j: Optional[int] = None,
                     digits: int = 64, property_mode: bool = False,
@@ -200,13 +208,10 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     if abs(Fraction(a, b)) >= 1:
         raise PreconditionError("need |a/b| < 1")
     j = sys.N if j is None else j
-    work_sys, aa = (sys, a) if a > 0 else (sys.negated(), -a)
+    work_sys, aa = sys.sign_reduced(a)
     ab = Fraction(aa, b)
 
-    # smallest integer t with B <= b^t
-    t = 0
-    while b ** t < B:
-        t += 1
+    t = _ceil_log(B, b)
     constants = compute_constants(work_sys, aa, b, Fraction(t), m, config,
                                   digits=max(digits, 64), allow_desk_scale=allow_desk_scale)
     hyp_ok = constants.hyp_b_ok and not constants.desk_scale
@@ -284,7 +289,7 @@ def scan_nearest(sys: GFunctionSystem, a: int, b: int, B: int, m: int,
                  j: Optional[int] = None) -> int:
     """Nearest integer to B b^m F_j(a/b); exact half-ties round to even."""
     j = sys.N if j is None else j
-    work_sys, aa = (sys, a) if a > 0 else (sys.negated(), -a)
+    work_sys, aa = sys.sign_reduced(a)
     value = value_producer(work_sys, j, Fraction(aa, b))
     scale = B * b ** m
     nearest, _ = decide(lambda dg: value.enclosure(dg) * scale, _settled_nearest, 16)
@@ -331,10 +336,8 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     j = sys.N if j is None else j
-    work_sys, aa = (sys, a) if a > 0 else (sys.negated(), -a)
-    t = 0
-    while b ** t < B:
-        t += 1
+    work_sys, aa = sys.sign_reduced(a)
+    t = _ceil_log(B, b)
     constants = compute_constants(work_sys, aa, b, Fraction(t), m, config,
                                   digits=digits, allow_desk_scale=True)
     # b > (|a|+1)^{2 c4 / eps}: compare log b against (2 c4 / eps) log(|a|+1)

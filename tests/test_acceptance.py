@@ -215,4 +215,5 @@ def test_criterion_10_pell_and_reduction(suite):
             key = (dv, conv.alpha, conv.beta)
             assert red.identity_series_checked, key
             assert red.identity_width < Fraction(1, 10 ** 8), key
+            assert red.hyp_b_ok is red.constants.hyp_b_ok, key
     assert time.monotonic() - t0 < 60

@@ -89,7 +89,7 @@ def test_binom_half(binom_half):
     assert binom_half.coefficient(1, 3) == Fraction(-1, 16)
     assert binom_half.C == 1
     assert binom_half.D_poly == Poly([2, -2])
-    assert binom_half.Dgrowth_rat == Fraction(31, 8)
+    assert binom_half.Dgrowth_sym == (Fraction(31, 8), 0)
 
 
 def test_binom_denominators_are_two_powers(binom_half):

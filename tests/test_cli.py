@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,20 @@ def test_constants_hyp_b_decided_exactly_when_x_straddles(tmp_path, capsys):
         rec = parse_report(out)[1][0]
         assert rec["x"].endswith("~ 2.999999999999..3.000000000001")
         assert rec["hyp-b-ok"] == expected
+
+
+def test_constants_floors_decided_exactly_when_x_is_integer(tmp_path, capsys):
+    # x = 3 = N+2 exactly at b = 2^189, so every enclosure of h = floor(m/(x - 2))
+    # and of p = floor(x h) straddles an integer; this used to escalate until killed
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    t0 = time.monotonic()
+    code, out = run_cli(capsys, "constants", "--system", str(path), "--a", "1",
+                        "--b", str(2 ** 189), "--t", "0", "--m", "1", "--precision", "16")
+    assert time.monotonic() - t0 < 5
+    assert code == 0
+    rec = parse_report(out)[1][0]
+    assert (rec["h"], rec["p"], rec["q"]) == ("1", "3", "1")
 
 
 def test_max_precision_caps_every_decision(capsys):

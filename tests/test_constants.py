@@ -122,7 +122,7 @@ def test_floor_certified_escalates():
     def producer(dg):
         eps = Fraction(1, dg)
         return IntervalReal(Fraction(5, 2) - eps, Fraction(5, 2) + eps)
-    assert _floor_certified(producer, 2) == 2
+    assert _floor_certified(producer, lambda k: None, 2) == 2
 
 
 def test_floor_certified_gives_up_on_integers():
@@ -131,7 +131,15 @@ def test_floor_certified_gives_up_on_integers():
         eps = Fraction(1, 10) ** dg
         return IntervalReal(3 - eps, 3 + eps)
     with pytest.raises(InsufficientPrecisionError):
-        _floor_certified(producer, 4)
+        _floor_certified(producer, lambda k: None, 4)
+
+
+def test_floor_certified_decides_a_straddled_integer_exactly():
+    def producer(dg):
+        eps = Fraction(1, 10) ** dg
+        return IntervalReal(3 - eps, 3 + eps)
+    assert _floor_certified(producer, lambda k: k == 3, 4) == 3
+    assert _floor_certified(producer, lambda k: False, 4) == 2
 
 
 def test_height_bound_requires_verified_growth():

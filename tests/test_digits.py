@@ -194,6 +194,15 @@ def test_theorem2_bound_check_report(polylog2):
     assert rep.digits_used >= 60
 
 
+def test_theorem2_hyp_growth_decided_exactly():
+    # c1 = 2^21 and c2 = 9 here, so b^s = (c1 |a|)^{c2} exactly at b = 2, s = 189
+    from gpade import parse_system
+    sysf = parse_system("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    for s, expected in ((189, False), (190, True)):
+        rep = theorem2_bound_check(sysf, 1, 2, s, 1, Fraction(1, 2), (1, 5))
+        assert rep.hyp_growth_ok is expected
+
+
 def test_theorem2_bound_check_validation(polylog2):
     with pytest.raises(PreconditionError):
         theorem2_bound_check(polylog2, 1, 10, 1, 0, Fraction(1, 2), (1, 5))

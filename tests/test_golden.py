@@ -1,9 +1,11 @@
-"""Golden-report gate: the README commands and `suite --quick` stay byte-identical.
+"""Golden-report gate: the README commands, `suite --quick` and the demos stay
+byte-identical.
 
 Each report under tests/oracles/golden/ was frozen from a known-good tree,
 together with the command's exit code.  A refactor that changes any byte of
 a report, or an exit code, fails here.  `iterate` uses the --system form,
-since --from would echo a temporary path into the report.  The full `suite`
+since --from would echo a temporary path into the report.  The stdout of each
+script in demos/ is frozen under golden/demos/.  The full `suite`
 report is frozen here as suite.txt too; test_acceptance.py renders the suite
 it has already computed and compares it with that file, so it runs once.
 
@@ -15,11 +17,14 @@ Regenerate the files (only when a report is meant to change) with:
 import contextlib
 import io
 import os
+import runpy
 import sys
 
 import pytest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "oracles", "golden")
+DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+DEMOS = sorted(f[:-3] for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
 
 # name -> (argv, exit code)
 COMMANDS = {
@@ -47,6 +52,13 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+def _run_demo(name):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(os.path.join(DEMO_DIR, f"{name}.py"), run_name="__main__")
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_report(name):
     argv, expected_code = COMMANDS[name]
@@ -57,8 +69,14 @@ def test_golden_report(name):
     assert out == golden
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_golden_demo(name):
+    with open(os.path.join(GOLDEN_DIR, "demos", f"{name}.txt")) as fh:
+        assert _run_demo(name) == fh.read()
+
+
 if __name__ == "__main__":
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    os.makedirs(os.path.join(GOLDEN_DIR, "demos"), exist_ok=True)
     for name, (argv, expected_code) in {**COMMANDS, "suite": (["suite"], 0)}.items():
         code, out = _run(argv)
         if code != expected_code:
@@ -66,3 +84,7 @@ if __name__ == "__main__":
         with open(os.path.join(GOLDEN_DIR, f"{name}.txt"), "w") as fh:
             fh.write(out)
         print(f"wrote {name}.txt")
+    for name in DEMOS:
+        with open(os.path.join(GOLDEN_DIR, "demos", f"{name}.txt"), "w") as fh:
+            fh.write(_run_demo(name))
+        print(f"wrote demos/{name}.txt")

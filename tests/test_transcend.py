@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval, pow_interval
 from gpade.errors import PreconditionError
-from gpade.transcend import log2_enclosure, log10_enclosure
+from gpade.intervals import precision_cap
+from gpade.transcend import le_epower, log2_enclosure, log10_enclosure
 
 mpmath.mp.dps = 60
 
@@ -115,3 +116,22 @@ def test_enclosures_shrink_with_digits():
         if prev is not None:
             assert iv.width < prev
         prev = iv.width
+
+
+def test_le_epower_rational_is_exact_at_first_call():
+    # (31/8)^3 = 29791/512; a cap equal to the start precision allows one call only
+    with precision_cap(4):
+        assert le_epower(Fraction(29791, 512), (Fraction(31, 8), Fraction(0)), 3, 4)
+        assert not le_epower(Fraction(29791, 512) + 1, (Fraction(31, 8), Fraction(0)), 3, 4)
+    assert le_epower(2 ** 189, (Fraction(2 ** 21), Fraction(0)), 9, 16)
+    assert not le_epower(2 ** 189 + 1, (Fraction(2 ** 21), Fraction(0)), 9, 16)
+
+
+def test_le_epower_decides_e_powers():
+    # 4 e^66 = 184287465373251661707092737712.24..., 30 digits before the point
+    floor = 184287465373251661707092737712
+    assert le_epower(floor, (Fraction(4), Fraction(66)), 1, 16)
+    assert not le_epower(floor + 1, (Fraction(4), Fraction(66)), 1, 16)
+    # a negative exponent, as for an inverse: (e^{-1})^2 = 0.1353...
+    assert le_epower(Fraction(1, 8), (Fraction(1), Fraction(-1)), 2, 16)
+    assert not le_epower(Fraction(1, 7), (Fraction(1), Fraction(-1)), 2, 16)
