@@ -221,12 +221,20 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     beta = None
     eqhyp_status = "not-evaluated"
     if schedule_ok:
-        # A straddled k is decided exactly while b^k (for h) or b^h (for p) has at most
-        # PRECISION_CAP decimal digits: h >= k iff b^k <= (c1 |a|)^{3((N+1)k + m)}, and
-        # p >= k iff b^h >= (c1 |a|)^{3k}, that is 1/b^h <= (1/(c1 |a|))^{3k}.
-        e_max = PRECISION_CAP.get() // _decimal_digits(b)
+        # Exact integers of up to 4 PRECISION_CAP decimal digits are built below.  A
+        # straddled k is decided exactly while b^k (for h) or b^h (for p) fits:
+        # h >= k iff b^k <= (c1 |a|)^{3((N+1)k + m)}, and p >= k iff b^h >= (c1 |a|)^{3k},
+        # that is 1/b^h <= (1/(c1 |a|))^{3k}.
+        budget = 4 * PRECISION_CAP.get()
+        e_max = budget // _decimal_digits(b)
+
+        def h_at(dg: int) -> Optional[IntervalReal]:
+            # x > N+1 is certified, but near N+1 the enclosure of x - (N+1) may still hold 0
+            gap = _schedule_x(b, c1a, dg) - (N + 1)
+            return Fraction(m) / gap if gap.lo > 0 else None
+
         h = _floor_certified(
-            lambda dg: Fraction(m) / (_schedule_x(b, c1a, dg) - (N + 1)),
+            h_at,
             lambda k: le_epower(b ** k, c1a, 3 * ((N + 1) * k + m), digits) if k <= e_max else None,
             digits)
         if h >= 1:
@@ -237,6 +245,11 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
                 digits)
             q_exact = (N + y) * h
             q = q_exact.numerator // q_exact.denominator
+            # the root behind b^{t/h} works at den(t/h) (digits + 2) decimal digits
+            if (t / h).denominator * (digits + 2) > budget:
+                raise InsufficientPrecisionError(
+                    f"beta = b^(t/h) with h = {h} needs more than {budget} digits "
+                    f"(4x the precision cap)")
             beta = frac_pow(Fraction(b), t / h, digits + 2) if t else IntervalReal.point(1)
 
     report = ConstantsReport(
@@ -258,10 +271,13 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
 def _floor_certified(producer, at_least, digits: int) -> int:
     """floor of an interval-valued quantity v, escalating until both endpoints agree.
 
+    The producer returns None while it has no enclosure at that precision.
     When the enclosure straddles one integer k, at_least(k) decides v >= k
     exactly, or returns None to escalate further.
     """
-    def verdict(iv: IntervalReal) -> Optional[int]:
+    def verdict(iv: Optional[IntervalReal]) -> Optional[int]:
+        if iv is None:
+            return None
         lo, k = (e.numerator // e.denominator for e in (iv.lo, iv.hi))
         if k != lo + 1:
             return lo if lo == k else None

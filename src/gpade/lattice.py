@@ -1,8 +1,11 @@
-"""Integer kernel bases and LLL size reduction, all in exact arithmetic.
+"""Integer kernel bases and LLL reduction, all in integer arithmetic.
 
 The kernel routine row-reduces the transpose with unimodular row operations
 (Euclidean gcd pivoting), so the returned basis spans the full integer kernel
-lattice {v in Z^c : M v = 0}, not just a finite-index sublattice.
+lattice {v in Z^c : M v = 0}, not just a finite-index sublattice.  LLL is
+Cohen's integral version (A Course in Computational Algebraic Number Theory,
+Alg. 2.6.7; de Weger 1987), which keeps Gram determinants instead of rational
+Gram-Schmidt data.
 """
 
 from __future__ import annotations
@@ -68,55 +71,62 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: Optional[int] =
     return kernel
 
 
-def _gso(basis: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[list[Fraction]], list[Fraction]]:
-    n = len(basis)
-    ortho: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = list(basis[i])
-        for j in range(len(ortho)):
-            if norms[j] == 0:
-                mu[i][j] = Fraction(0)
-                continue
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(basis[i], ortho[j])) / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-        norms.append(sum(x * x for x in v))
-    return ortho, mu, norms
-
-
 def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
-    """LLL-reduce a list of linearly independent integer vectors (exact rationals)."""
+    """LLL-reduce a list of linearly independent integer vectors (Cohen, Alg. 2.6.7).
+
+    d[i] is the Gram determinant of b[0..i-1] and lam[k][j] = d[j+1] mu[k][j], so
+    every division is exact.  b[k] is size-reduced against j = k-1 .. 0 before the
+    Lovasz test, rounding mu half-down (-1/2 to -1): the rational Gram-Schmidt LLL
+    with this operation order returns the same basis, vector for vector.
+    """
     b = [list(map(int, v)) for v in basis]
     n = len(b)
     if n <= 1:
         return b
     if not Fraction(1, 4) < delta < 1:
         raise PreconditionError("delta must be in (1/4, 1)")
+    dnum, dden = Fraction(delta).as_integer_ratio()
 
-    _, mu, norms = _gso([list(map(Fraction, v)) for v in b])
-
-    def recompute():
-        nonlocal mu, norms
-        _, mu, norms = _gso([list(map(Fraction, v)) for v in b])
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise PreconditionError("basis vectors are linearly dependent")
 
     k = 1
     while k < n:
         # size-reduce b_k against earlier vectors
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = q.numerator // q.denominator
-            if 2 * (q - r) > 1:
+            r, rem = divmod(lam[k][j], d[j + 1])
+            if 2 * rem > d[j + 1]:
                 r += 1
             if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                recompute()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam[k][j] -= r * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+        t = lam[k][k - 1]
+        if dden * (d[k + 1] * d[k - 1] + t * t) >= dnum * d[k] ** 2:
             k += 1
         else:
+            # Cohen's SWAPI: exchange b[k-1] and b[k], then update d[k] and lam
             b[k], b[k - 1] = b[k - 1], b[k]
-            recompute()
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+            for i in range(k + 1, n):
+                s = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+                lam[i][k - 1] = (dk * s + t * lam[i][k]) // d[k + 1]
+            d[k] = dk
             k = max(k - 1, 1)
     return b
 

@@ -246,6 +246,38 @@ def test_constants_floors_decided_exactly_when_x_is_integer(tmp_path, capsys):
     assert (rec["h"], rec["p"], rec["q"]) == ("1", "3", "1")
 
 
+@pytest.mark.parametrize("b,m,hpq", [
+    # x - 2 is about 10^-40 here: its enclosure holds 0 until about 40 digits
+    (2 ** 126 + 1, 1, ("3714885770801834382672620248535433129310",
+                       "7429771541603668765345240497070866258620",
+                       "4179246492152063680506697779602362270473")),
+    # x = 127/63, so h = 126 and p = 254 exactly; b^126 has 4,817 digits
+    (2 ** 127, 2, ("126", "254", "141")),
+], ids=["2^126+1", "2^127"])
+def test_constants_floors_next_to_the_schedule_threshold(tmp_path, capsys, b, m, hpq):
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    t0 = time.monotonic()
+    code, out = run_cli(capsys, "constants", "--system", str(path), "--a", "1",
+                        "--b", str(b), "--t", "0", "--m", str(m), "--precision", "16")
+    assert time.monotonic() - t0 < 5
+    assert code == 0
+    rec = parse_report(out)[1][0]
+    assert (rec["h"], rec["p"], rec["q"]) == hpq
+
+
+def test_constants_beta_over_the_cap_is_insufficient_precision(tmp_path, capsys):
+    # h is about 3.7 10^39 at b = 2^126 + 1, so beta = b^(1/h) is out of reach
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    t0 = time.monotonic()
+    code = main(["constants", "--system", str(path), "--a", "1", "--b", str(2 ** 126 + 1),
+                 "--t", "1", "--m", "1", "--precision", "16"])
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert "beta" in capsys.readouterr().err
+
+
 def test_max_precision_caps_every_decision(capsys):
     argv = ["sqrt", "--d", "2", "--convergents", "6", "--scan-m", "1:4"]
     code, _ = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,15 @@ def test_floor_certified_decides_a_straddled_integer_exactly():
     assert _floor_certified(producer, lambda k: False, 4) == 2
 
 
+def test_floor_certified_escalates_past_missing_enclosures():
+    # no enclosure below 16 digits (a divisor still holding 0), then [5/2, 5/2]
+    def producer(dg):
+        return None if dg < 16 else IntervalReal.point(Fraction(5, 2))
+    assert _floor_certified(producer, lambda k: None, 4) == 2
+    with pytest.raises(InsufficientPrecisionError):
+        _floor_certified(lambda dg: None, lambda k: None, 4)
+
+
 def test_height_bound_requires_verified_growth():
     sysf = builtin("log1m")
     approx = build_approximant(sysf, 70, 2, 2)
@@ -197,3 +207,73 @@ def test_schedule_decided_exactly_when_x_straddles():
     assert rep.desk_scale and rep.h is None
     with pytest.raises(HypothesisUnmetError):
         compute_constants(sysf, 1, 2 ** 126, 0, 1, digits=64)
+
+
+def _schedule_oracle(b, m, N, d):
+    """x > N+1, x > N+2 and (h, p, q) for c1 |a| = 2^21, by mpmath at 200 digits.
+
+    x = log2(b)/63 is rational at b = 2^e, so the thresholds of the sweep are
+    hit exactly there: a value within 10^-150 of an integer is that integer.
+    Every other value of the sweep lies more than 10^-100 from one.
+    """
+    import mpmath
+    with mpmath.workdps(200):
+        tiny, far = mpmath.mpf(10) ** -150, mpmath.mpf(10) ** -100
+
+        def exact(v):
+            n = mpmath.nint(v)
+            if abs(v - n) < tiny:
+                return int(n)
+            assert abs(v - n) > far, "too close to an integer for the oracle"
+            return v
+
+        def floor(v):
+            return int(mpmath.floor(exact(v)))
+
+        x = mpmath.log(b, 2) / 63
+        above = [exact(x - n) > 0 for n in (N + 1, N + 2)]
+        if not above[0]:
+            return above, None
+        h = floor(m / (x - (N + 1)))
+        if h < 1:
+            return above, (h, None, None)
+        return above, (h, floor(x * h), math.floor((N + Fraction(1, 4 * (d + 1))) * h))
+
+
+def _sweep_exponents(m):
+    # x > N+1 and x > N+2 at 2^126 and 2^189; h = k exactly at 2^{126 + 63m/k}
+    return sorted({126, 189} | {126 + 63 * m // k for k in range(1, 63 * m + 1)
+                                if (63 * m) % k == 0})
+
+
+@pytest.mark.parametrize("m,e", [(m, e) for m in (1, 2) for e in _sweep_exponents(m)])
+def test_schedule_threshold_sweep(m, e):
+    # b = T - 1, T, T + 1 at every threshold T = 2^e of the binom alpha = 1/2, Dgrowth 4
+    # system, t in {0, 1}, strict and desk-scale: a report whose h, p, q match the
+    # oracle, HypothesisUnmetError (strict only) or InsufficientPrecisionError (beta)
+    import time
+
+    from gpade import parse_system
+    from gpade.intervals import PRECISION_CAP
+    sysf = parse_system(BINOM_HALF_D4)
+    for b in (2 ** e - 1, 2 ** e, 2 ** e + 1):
+        (above_n1, above_n2), sched = _schedule_oracle(b, m, sysf.N, sysf.d)
+        for t in (0, 1):
+            for desk in (False, True):
+                t0 = time.monotonic()
+                try:
+                    rep = compute_constants(sysf, 1, b, t, m, digits=16, allow_desk_scale=desk)
+                except HypothesisUnmetError:
+                    assert not desk and not above_n1
+                    continue
+                except InsufficientPrecisionError as exc:
+                    # beta = b^{1/h} would need h (16 + 2) digits, over 4x the cap
+                    assert "beta" in str(exc)
+                    assert t == 1 and sched[0] * 18 > 4 * PRECISION_CAP.get()
+                    continue
+                finally:
+                    assert time.monotonic() - t0 < 5, (b, t, m, desk)
+                assert rep.c1_sym == (2 ** 21, 0)
+                assert rep.hyp_b_ok is above_n2
+                assert rep.desk_scale is not above_n1
+                assert (None if rep.h is None else (rep.h, rep.p, rep.q)) == sched

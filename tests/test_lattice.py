@@ -170,6 +170,89 @@ def test_lll_determinant_invariant(vs):
     assert det_r == det
 
 
+def _gso_fraction(basis):
+    n = len(basis)
+    ortho, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(len(ortho)):
+            mu[i][j] = sum(Fraction(x) * y for x, y in zip(basis[i], ortho[j])) / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def _lll_reduce_fraction(basis, delta=Fraction(99, 100)):
+    """The rational Gram-Schmidt LLL that lll_reduce replaced, kept as its oracle.
+
+    It recomputes the whole Gram-Schmidt data after every change of the basis.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    if n <= 1:
+        return b
+    mu, norms = _gso_fraction(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            r = q.numerator // q.denominator
+            if 2 * (q - r) > 1:
+                r += 1
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                mu, norms = _gso_fraction(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = _gso_fraction(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def _rank(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        src = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+independent_bases = st.integers(2, 10).flatmap(
+    lambda n: st.integers(n, n + 2).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+                           min_size=n, max_size=n))).filter(lambda vs: _rank(vs) == len(vs))
+
+
+@given(independent_bases,
+       st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]))
+@settings(max_examples=30, deadline=None)
+def test_lll_matches_rational_gram_schmidt_lll(vs, delta):
+    # the integral LLL replays the rational one's operations, so the bases are equal
+    assert lll_reduce(vs, delta) == _lll_reduce_fraction(vs, delta)
+
+
+def test_lll_rounds_mu_half_down():
+    # mu = -1/2 rounds to -1, so b_1 gains b_0; mu = 1/2 rounds to 0
+    assert lll_reduce([[2, 0], [-1, 5]]) == [[2, 0], [1, 5]]
+    assert lll_reduce([[2, 0], [1, 5]]) == [[2, 0], [1, 5]]
+
+
+def test_lll_rejects_dependent_vectors():
+    with pytest.raises(PreconditionError):
+        lll_reduce([[1, 2, 3], [2, 4, 6]])
+
+
 def test_shortest_vector_sign_normalized():
     v = shortest_kernel_vector([[0, 1, 0]])
     assert v[0] > 0 or (v[0] == 0 and v[1] == 0 and v[2] > 0) or v == [1, 0, 0]
