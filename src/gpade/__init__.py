@@ -29,7 +29,7 @@ from .quadratic import CFExpansion, QuadConvergent, ReductionReport, Theorem5Rep
     cf_sqrt, convergent_gap_check, pell_bound_check, reduce_to_theorem1, theorem5_scan
 from .ratfun import RatFunMatrix
 from .transcend import exp_frac, exp_interval, log2_enclosure, log10_enclosure, \
-    log_frac, log_interval, pow_interval
+    log_frac, log_interval
 from .verify import ChainReplay, CorollaryReport, VerifyReport, XiWitness, \
     construct_xi, corollary_bound_check, eval_certified, replay_chain, scan_nearest, \
     value_producer, verify_theorem1
@@ -55,7 +55,7 @@ __all__ = [
     "integer_kernel_basis", "inth_root_floor", "iterate", "lcm_range",
     "lll_reduce", "load_system", "log10_enclosure", "log2_enclosure",
     "log_frac", "log_interval", "parse_system", "pell_bound_check",
-    "poly_divmod", "poly_gcd", "pow_interval", "product_height_bound",
+    "poly_divmod", "poly_gcd", "product_height_bound",
     "profile_with_expansion", "reduce_to_theorem1", "repetition_count",
     "repetition_profile", "replay_chain", "resolve_system", "scan_nearest",
     "shortest_kernel_vector", "siegel_height_bound",

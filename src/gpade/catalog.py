@@ -320,11 +320,20 @@ def _binom_power(alpha: Fraction, fit_range: int = DEFAULT_FIT_RANGE) -> GFuncti
     return sysb
 
 
+def _parse(kind: type, text, what: str):
+    """kind(text), or a PreconditionError naming `what` when text is not a valid kind."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
 _BUILTINS = {
-    "polylog": lambda **kw: _polylog(int(kw.get("s", 2))),
+    "polylog": lambda **kw: _polylog(_parse(int, kw.get("s", 2), "param s")),
     "log1m": lambda **kw: _log1m(),
-    "binom_power": lambda **kw: _binom_power(Fraction(kw["alpha"]),
-                                             int(kw.get("fit_range", DEFAULT_FIT_RANGE))),
+    "binom_power": lambda **kw: _binom_power(
+        _parse(Fraction, kw.get("alpha"), "param alpha"),
+        _parse(int, kw.get("fit_range", DEFAULT_FIT_RANGE), "fit_range")),
 }
 
 
@@ -351,6 +360,10 @@ _ALIASES = {
 }
 
 
+# system-file key -> number of words its line needs, the key included
+_FILE_KEYS = {"family": 2, "param": 3, "name": 2, "C": 2, "Dgrowth": 2, "fit_range": 2}
+
+
 def parse_system(text: str) -> GFunctionSystem:
     """Parse a key-value system definition.
 
@@ -367,6 +380,9 @@ def parse_system(text: str) -> GFunctionSystem:
             continue
         parts = line.split()
         key = parts[0]
+        where = f"system-file line {line!r}"
+        if len(parts) < _FILE_KEYS.get(key, 1):
+            raise PreconditionError(f"{where} is missing a value")
         if key == "family":
             family = parts[1]
         elif key == "param":
@@ -374,9 +390,11 @@ def parse_system(text: str) -> GFunctionSystem:
         elif key == "name":
             overrides["name"] = parts[1]
         elif key == "C":
-            overrides["C"] = Fraction(parts[1])
+            overrides["C"] = _parse(Fraction, parts[1], where)
         elif key == "Dgrowth":
-            overrides["Dgrowth"] = parts[1]
+            e_form = parts[1].startswith("e^")
+            value = _parse(Fraction, parts[1][2:] if e_form else parts[1], where)
+            overrides["Dgrowth"] = (Fraction(1), value) if e_form else (value, Fraction(0))
         elif key == "fit_range":
             params["fit_range"] = parts[1]
         else:
@@ -392,10 +410,8 @@ def parse_system(text: str) -> GFunctionSystem:
                 sys.verified_range = 0
             sys.C = overrides["C"]
         if "Dgrowth" in overrides:
-            spec = overrides["Dgrowth"]
             sys.verified_range = 0
-            sys.Dgrowth_sym = ((Fraction(1), Fraction(spec[2:])) if spec.startswith("e^")
-                               else (Fraction(spec), Fraction(0)))
+            sys.Dgrowth_sym = overrides["Dgrowth"]
         rep = verify_growth(sys, DEFAULT_FIT_RANGE)
         if not rep.ok:
             raise PreconditionError(f"overridden growth constants fail verification: {rep}")
@@ -403,8 +419,12 @@ def parse_system(text: str) -> GFunctionSystem:
 
 
 def load_system(path: str) -> GFunctionSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise PreconditionError(f"cannot read system file {path!r}: {e}") from None
+    return parse_system(text)
 
 
 def resolve_system(spec: str) -> GFunctionSystem:
@@ -417,7 +437,7 @@ def resolve_system(spec: str) -> GFunctionSystem:
     if ":" in spec:
         family, _, arg = spec.partition(":")
         if family == "polylog":
-            return builtin("polylog", s=int(arg))
+            return builtin("polylog", s=_parse(int, arg, f"system {spec!r}"))
         if family in ("binom", "binom_power"):
-            return builtin("binom_power", alpha=Fraction(arg))
+            return builtin("binom_power", alpha=_parse(Fraction, arg, f"system {spec!r}"))
     raise PreconditionError(f"cannot resolve system {spec!r}")

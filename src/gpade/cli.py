@@ -157,19 +157,18 @@ def cmd_zerocheck(args, echo: str) -> ReportWriter:
 
 def cmd_constants(args, echo: str) -> ReportWriter:
     system = resolve_system(args.system)
-    config = ConstantsConfig(h0=Fraction(args.h0), h1=Fraction(args.h1),
-                             h2=Fraction(args.h2))
+    config = ConstantsConfig(h0=args.h0, h1=args.h1, h2=args.h2)
     w = ReportWriter(echo, args.precision)
     w.record("constants")
     w.kv("system", system.name)
     w.kv("a", args.a)
     w.kv("b", args.b)
-    w.kv("t", Fraction(args.t))
+    w.kv("t", args.t)
     w.kv("m", args.m)
     w.kv("h0", config.h0)
     w.kv("h1", config.h1)
     w.kv("h2", config.h2)
-    rep = compute_constants(system, args.a, args.b, Fraction(args.t), args.m,
+    rep = compute_constants(system, args.a, args.b, args.t, args.m,
                             config, digits=args.precision,
                             allow_desk_scale=not args.strict)
     w.kv("N", rep.N)
@@ -306,7 +305,7 @@ def cmd_digits(args, echo: str) -> ReportWriter:
 
 
 def cmd_sqrt(args, echo: str) -> ReportWriter:
-    d = Fraction(args.d)
+    d = args.d
     exp = cf_sqrt(d, args.convergents)
     w = ReportWriter(echo, args.precision)
     w.record("continued-fraction")
@@ -410,11 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system", required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--t", required=True, help="rational, e.g. 0 or 3/2")
+    sp.add_argument("--t", type=Fraction, required=True, help="rational, e.g. 0 or 3/2")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--h0", default="1")
-    sp.add_argument("--h1", default="1")
-    sp.add_argument("--h2", default="1")
+    sp.add_argument("--h0", type=Fraction, default="1")
+    sp.add_argument("--h1", type=Fraction, default="1")
+    sp.add_argument("--h2", type=Fraction, default="1")
     sp.add_argument("--strict", action="store_true",
                     help="error out when the schedule hypotheses fail")
     _add_common(sp)
@@ -450,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_digits)
 
     sp = subs.add_parser("sqrt", help="surd continued fraction, Pell bounds, reduction")
-    sp.add_argument("--d", required=True, help="positive rational, e.g. 2 or 5/3")
+    sp.add_argument("--d", type=Fraction, required=True, help="positive rational, e.g. 2 or 5/3")
     sp.add_argument("--convergents", type=int, default=6)
     sp.add_argument("--scan-m", dest="scan_m", default=None, help="range lo:hi")
     sp.add_argument("--den", choices=("alpha", "beta"), default="alpha")

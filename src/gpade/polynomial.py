@@ -1,7 +1,8 @@
 """Dense univariate polynomials and truncated power series over exact rationals.
 
 Everything here is exact: coefficients are `fractions.Fraction` (or int, which
-is upgraded on entry).  No floating point enters any code path.
+is upgraded on entry).  No floating point enters any code path.  `power_sum` is
+the one series kernel: `Poly` evaluation, F_j(z), exp and atanh all sum with it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ Scalar = Union[int, Fraction]
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def power_sum(coeffs: Iterable[Scalar], z: Fraction) -> Fraction:
+    """Exact sum of c_i z^i, z = a/b, as s / (den b^n) with den = lcm of the c_i's
+    denominators: integers only, normalized once."""
+    a, b = z.numerator, z.denominator
+    s, den, apow, n = 0, 1, 1, 0
+    for n, c in enumerate(coeffs):
+        g = c.denominator // math.gcd(den, c.denominator)
+        s = s * b * g + c.numerator * (den * g // c.denominator) * apow
+        den *= g
+        apow *= a
+    return Fraction(s, den * b ** n)
 
 
 class Poly:
@@ -174,12 +188,7 @@ class Poly:
         return Poly(self.coeffs[k:])
 
     def __call__(self, z: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
-        z = _frac(z)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return power_sum(self.coeffs, _frac(z))
 
     def to_series(self, order: int) -> "SeriesTrunc":
         return SeriesTrunc(self.coeffs[:order], order)

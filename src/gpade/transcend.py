@@ -1,7 +1,8 @@
-"""Certified enclosures for exp, log and powers, from exact rational series.
+"""Certified enclosures for exp and log, from exact rational series.
 
 Each function returns an IntervalReal whose endpoints are exact rationals on a
-decimal grid.  Tail bounds are the classical explicit ones:
+decimal grid.  A series sums exactly, by polynomial.power_sum, through the
+first K >= 1 whose tail is at most 10^-(digits+1); the tail bounds are:
 
   exp(x), 0 <= x <= 1:   sum_{i>K} x^i/i! <= 2 x^{K+1}/(K+1)!
   atanh(u), |u| <= 1/2:  sum_{i>K} u^{2i+1}/(2i+1) <= |u|^{2K+3}/((2K+3)(1-u^2))
@@ -14,10 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import truediv
 from typing import Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
 from .intervals import IntervalReal, _decimal_digits, _frac, decide
+from .polynomial import power_sum
 
 Scalar = Union[int, Fraction]
 EPower = tuple[Fraction, Fraction]      # (coef, e_exp): coef * e^e_exp, coef > 0
@@ -25,18 +29,16 @@ EPower = tuple[Fraction, Fraction]      # (coef, e_exp): coef * e^e_exp, coef > 
 
 def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
     """Enclosure of exp(x) for 0 <= x <= 1."""
-    target = Fraction(1, 10 ** (digits + 1))
-    total = Fraction(1)
-    term = Fraction(1)
-    i = 0
-    while True:
-        i += 1
-        term = term * x / i
-        total += term
-        # remaining tail after the i-th term: <= 2 * x^{i+1}/(i+1)!
-        tail = 2 * term * x / (i + 1)
-        if tail <= target:
-            return IntervalReal(total, total + tail).round_out(digits + 1)
+    a, b = x.numerator, x.denominator
+    # tail 2 x^{K+1}/(K+1)! = tn / (td 10^(digits+1)); the sum has coefficients 1/i!
+    tn, td, K = 2 * a * a * 10 ** (digits + 1), 2 * b * b, 1
+    while tn > td:
+        K += 1
+        tn *= a
+        td *= b * (K + 1)
+    total = power_sum(accumulate(range(1, K + 1), truediv, initial=Fraction(1)), x)
+    tail = Fraction(tn, td * 10 ** (digits + 1))
+    return IntervalReal(total, total + tail).round_out(digits + 1)
 
 
 @lru_cache(maxsize=None)
@@ -67,20 +69,18 @@ def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
         raise PreconditionError("atanh series argument must have |u| <= 1/2")
     if u == 0:
         return IntervalReal.point(0)
-    target = Fraction(1, 10 ** (digits + 1))
-    u2 = u * u
-    total = u
-    term = u
-    k = 0
-    while True:
-        k += 1
-        term = term * u2
-        total += term / (2 * k + 1)
-        tail = abs(term) * abs(u2) / ((2 * k + 3) * (1 - u2))
-        if tail <= target:
-            if u > 0:
-                return IntervalReal(total, total + tail).round_out(digits + 1)
-            return IntervalReal(total - tail, total).round_out(digits + 1)
+    a, b = abs(u.numerator), u.denominator
+    # tail |u|^{2K+3}/((2K+3)(1-u^2)) = tn / ((2K+3) td 10^(digits+1))
+    tn, td, K = a ** 5 * 10 ** (digits + 1), b ** 3 * (b * b - a * a), 1
+    while tn > (2 * K + 3) * td:
+        K += 1
+        tn *= a * a
+        td *= b * b
+    total = u * power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
+    tail = Fraction(tn, (2 * K + 3) * td * 10 ** (digits + 1))
+    if u > 0:
+        return IntervalReal(total, total + tail).round_out(digits + 1)
+    return IntervalReal(total - tail, total).round_out(digits + 1)
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +153,3 @@ def log_interval(x: IntervalReal, digits: int) -> IntervalReal:
     lo = log_frac(x.lo, digits + 2)
     hi = log_frac(x.hi, digits + 2)
     return IntervalReal(lo.lo, hi.hi)
-
-
-def pow_interval(base: IntervalReal, exponent: IntervalReal, digits: int) -> IntervalReal:
-    """Enclosure of base**exponent via exp(exponent * log base); base must be > 0."""
-    return exp_interval(exponent * log_interval(base, digits + 4), digits)

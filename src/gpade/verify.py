@@ -23,6 +23,7 @@ from .errors import (InsufficientPrecisionError, InternalCertificateError,
                      NoConvergentTailBound, PreconditionError)
 from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, width_digits
 from .pade import build_approximant
+from .polynomial import power_sum
 from .report import TRISTATE_STATUS
 from .transcend import log_frac
 
@@ -47,20 +48,13 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
     if z == 0:
         return IntervalReal.point(sys.coefficient(j, 0))
 
-    # smallest M with tail = C * cz^{M+1} / (1 - cz) <= width/2
-    target = width / 2
-    tail = sys.C * cz / (1 - cz)
-    M = 0
-    while tail > target:
-        tail *= cz
-        M += 1
-    total = Fraction(0)
-    zpow = Fraction(1)
-    for nn in range(M + 1):
-        c = sys.coefficient(j, nn)
-        if c:
-            total += c * zpow
-        zpow *= z
+    # smallest M with tail = C * cz^{M+1} / (1 - cz) <= width/2, from tn / td = tail / (width/2)
+    tail, target = sys.C * cz / (1 - cz), width / 2
+    tn, td, M = tail.numerator * target.denominator, tail.denominator * target.numerator, 0
+    while tn > td:
+        tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
+    tail = Fraction(tn, td) * target
+    total = power_sum((sys.coefficient(j, n) for n in range(M + 1)), z)
     iv = IntervalReal(total - tail, total + tail)
     # outward-round to keep endpoint sizes proportional to the request
     return iv.round_out(max(1, width_digits(width / 4)))

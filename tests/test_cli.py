@@ -194,6 +194,40 @@ def test_bad_parameters_exit_2(capsys):
     assert code == 2
 
 
+def _constants(system, *extra):
+    return ("constants", "--system", system, "--a", "1", "--b", "10", "--t", "0", "--m", "1",
+            *extra)
+
+
+@pytest.mark.parametrize("system_file, args", [
+    (b"family\n", _constants("{file}")),
+    (b"family binom_power\nparam alpha\n", _constants("{file}")),
+    (b"family polylog\nparam s x\n", _constants("{file}")),
+    (b"family polylog\nC abc\n", _constants("{file}")),
+    (b"family polylog\nDgrowth e^x\n", _constants("{file}")),
+    (b"family polylog\nname caf\xe9\n", _constants("{file}")),
+    (None, _constants("{dir}")),
+    (None, _constants("polylog:x")),
+    (None, _constants("binom:abc")),
+    (None, _constants("log1m", "--t", "abc")),
+    (None, _constants("log1m", "--h0", "zz")),
+    (None, _constants("log1m", "--h2", "1/0x")),
+    (None, ("sqrt", "--d", "abc")),
+], ids=["family-no-name", "param-no-value", "param-not-int", "C-not-rational",
+        "Dgrowth-not-rational", "not-utf8", "directory", "polylog-spec", "binom-spec",
+        "t", "h0", "h2", "sqrt-d"])
+def test_malformed_input_is_usage_error(tmp_path, capsys, system_file, args):
+    path = tmp_path / "system.txt"
+    if system_file is not None:
+        path.write_bytes(system_file)
+    try:
+        code = main([{"{file}": str(path), "{dir}": str(tmp_path)}.get(a, a) for a in args])
+    except SystemExit as e:       # argparse rejects a bad option value itself
+        code = e.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "gpade.cli", "constants",
                            "--system", "log1m", "--a", "1", "--b", "10",

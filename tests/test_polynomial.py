@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpade import Poly, SeriesTrunc, lcm_range, poly_divmod, poly_gcd, product_height_bound
 from gpade.errors import PreconditionError
+from gpade.polynomial import power_sum
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 polys = st.lists(fractions, max_size=7).map(Poly)
@@ -157,3 +158,25 @@ def test_poly_to_series_round_trip():
     s = p.to_series(6)
     assert s.coefficient(2) == Fraction(2, 3)
     assert s.coefficient(4) == 0
+
+
+def _horner(coeffs, z: Fraction) -> Fraction:
+    """Term-by-term Fraction evaluation that the power-sum kernel replaced."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+@given(st.lists(st.one_of(st.just(Fraction(0)), fractions), max_size=12),
+       st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+@example([], Fraction(3, 7))
+@example([Fraction(0), Fraction(5, 3)], Fraction(0))
+@example([Fraction(1, 2), Fraction(0), Fraction(-7, 4)], Fraction(-9, 5))
+@settings(max_examples=200, deadline=None)
+def test_poly_eval_equals_horner(coeffs, z):
+    p = Poly(coeffs)
+    assert p(z) == _horner(p.coeffs, z)
+    # the kernel consumes any iterator, trailing zeros included
+    assert power_sum(iter(coeffs), z) == _horner(coeffs, z)
+    assert p(z.numerator) == _horner(p.coeffs, Fraction(z.numerator))

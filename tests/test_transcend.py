@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval, pow_interval
+from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval
 from gpade.errors import PreconditionError
 from gpade.intervals import precision_cap
-from gpade.transcend import le_epower, log2_enclosure, log10_enclosure
+from gpade.transcend import _atanh_series, _exp_series_01, le_epower, log2_enclosure, \
+    log10_enclosure
 
 mpmath.mp.dps = 60
 
@@ -96,19 +97,6 @@ def test_log_interval_monotone():
         log_interval(IntervalReal(0, 1), 10)
 
 
-def test_pow_interval_against_exact():
-    # 2^10 through the exp/log path must enclose 1024
-    iv = pow_interval(IntervalReal.point(2), IntervalReal.point(10), 20)
-    assert 1024 in iv
-    assert iv.width <= Fraction(1, 10**10)
-
-
-def test_pow_interval_fractional_exponent():
-    iv = pow_interval(IntervalReal.point(10), IntervalReal(Fraction(289, 50), Fraction(289, 50)), 15)
-    got = mp_frac(mpmath.power(10, mpmath.mpf(289) / 50))
-    assert iv.lo - 1 <= got <= iv.hi + 1
-
-
 def test_enclosures_shrink_with_digits():
     prev = None
     for d in (5, 10, 20, 40):
@@ -135,3 +123,63 @@ def test_le_epower_decides_e_powers():
     # a negative exponent, as for an inverse: (e^{-1})^2 = 0.1353...
     assert le_epower(Fraction(1, 8), (Fraction(1), Fraction(-1)), 2, 16)
     assert not le_epower(Fraction(1, 7), (Fraction(1), Fraction(-1)), 2, 16)
+
+
+# The term-by-term Fraction loops that the power-sum kernel replaced, kept here
+# as references: the kernel must return the very same enclosures.
+
+def _exp_series_01_fraction(x: Fraction, digits: int) -> IntervalReal:
+    target = Fraction(1, 10 ** (digits + 1))
+    total = Fraction(1)
+    term = Fraction(1)
+    i = 0
+    while True:
+        i += 1
+        term = term * x / i
+        total += term
+        tail = 2 * term * x / (i + 1)
+        if tail <= target:
+            return IntervalReal(total, total + tail).round_out(digits + 1)
+
+
+def _atanh_series_fraction(u: Fraction, digits: int) -> IntervalReal:
+    if u == 0:
+        return IntervalReal.point(0)
+    target = Fraction(1, 10 ** (digits + 1))
+    u2 = u * u
+    total = u
+    term = u
+    k = 0
+    while True:
+        k += 1
+        term = term * u2
+        total += term / (2 * k + 1)
+        tail = abs(term) * abs(u2) / ((2 * k + 3) * (1 - u2))
+        if tail <= target:
+            if u > 0:
+                return IntervalReal(total, total + tail).round_out(digits + 1)
+            return IntervalReal(total - tail, total).round_out(digits + 1)
+
+
+unit_interval = st.integers(1, 10**4).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d)))
+half_interval = st.integers(2, 10**4).flatmap(
+    lambda d: st.builds(Fraction, st.integers(-(d // 2), d // 2), st.just(d)))
+
+
+@given(unit_interval, st.integers(1, 400))
+@example(Fraction(0), 20)
+@example(Fraction(1), 400)
+@settings(max_examples=40, deadline=None)
+def test_exp_series_equals_fraction_loop(x, digits):
+    assert _exp_series_01(x, digits) == _exp_series_01_fraction(x, digits)
+
+
+@given(half_interval, st.integers(1, 400))
+@example(Fraction(0), 20)
+@example(Fraction(-1, 2), 300)
+@example(Fraction(1, 3), 400)
+@example(Fraction(-1, 3), 2)          # stops one term earlier than a (2K+1) tail would
+@settings(max_examples=40, deadline=None)
+def test_atanh_series_equals_fraction_loop(u, digits):
+    assert _atanh_series(u, digits) == _atanh_series_fraction(u, digits)

@@ -2,19 +2,24 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpade import (
+    IntervalReal,
     construct_xi,
     corollary_bound_check,
     eval_certified,
     iterate,
     replay_chain,
+    resolve_system,
     scan_nearest,
     value_producer,
     verify_theorem1,
 )
 from gpade.pade import build_approximant
 from gpade.errors import NoConvergentTailBound, PreconditionError
+from gpade.intervals import width_digits
 from gpade.verify import _round_half_even
 
 mpmath.mp.dps = 50
@@ -171,3 +176,44 @@ def test_chain_instances_all_certified(log1m, polylog2):
         chain = replay_chain(work, abs(a), b, B, m, n, j, pqh)
         assert chain.all_certified, (sys.name, a, b)
         assert chain.witness.xi % b ** m == 0
+
+
+def _eval_certified_fraction(sys, j, z: Fraction, width: Fraction) -> IntervalReal:
+    """The term-by-term Fraction partial sum that the power-sum kernel replaced."""
+    if z == 0:
+        return IntervalReal.point(sys.coefficient(j, 0))
+    cz = sys.C * abs(z)
+    target = width / 2
+    tail = sys.C * cz / (1 - cz)
+    M = 0
+    while tail > target:
+        tail *= cz
+        M += 1
+    total = Fraction(0)
+    zpow = Fraction(1)
+    for nn in range(M + 1):
+        c = sys.coefficient(j, nn)
+        if c:
+            total += c * zpow
+        zpow *= z
+    iv = IntervalReal(total - tail, total + tail)
+    return iv.round_out(max(1, width_digits(width / 4)))
+
+
+_REFERENCE_SYSTEMS = {name: resolve_system(name)
+                      for name in ("log1m", "polylog2", "polylog3", "binom:1/2")}
+half_disk = st.integers(2, 10**4).flatmap(
+    lambda d: st.builds(Fraction, st.integers(-(d // 2), d // 2), st.just(d)))
+
+
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(0, 3), half_disk,
+       st.integers(1, 400).map(lambda k: Fraction(1, 10 ** k)))
+@example("polylog3", 3, Fraction(-1, 2), Fraction(1, 10 ** 400))
+@example("binom:1/2", 1, Fraction(1, 10), Fraction(1, 10))
+@example("log1m", 1, Fraction(0), Fraction(1, 10 ** 5))
+@example("log1m", 1, Fraction(1, 2), Fraction(1, 2 ** 10))   # tail = width/2 exactly at M = 11
+@settings(max_examples=40, deadline=None)
+def test_eval_certified_equals_fraction_loop(name, j, z, width):
+    sys = _REFERENCE_SYSTEMS[name]
+    j = min(j, sys.N)
+    assert eval_certified(sys, j, z, width) == _eval_certified_fraction(sys, j, z, width)
