@@ -20,7 +20,7 @@ def main() -> None:
     print(f"c6 = {rep.c6.decimal_str(6)}")
     print(f"c4 = {rep.c4.decimal_str(8)}")
     target = frac_pow(Fraction(10), Fraction(289, 50), 48)
-    print(f"c4 < 10^5.78 = {target.decimal_str(8)} : {rep.c4.certainly_lt(target.lo)}")
+    print(f"c4 < 10^5.78 = {target.decimal_str(8)} : {rep.c4.lt(target.lo) is True}")
     print(f"closed-form agreement: {not rep.c4_discrepancy}")
     print(f"desk scale: {rep.desk_scale}; hyp b ok: {rep.hyp_b_ok}; "
           f"schedule (h, p, q) = ({rep.h}, {rep.p}, {rep.q})")

@@ -23,11 +23,9 @@ from .intervals import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, \
 from .lattice import integer_kernel_basis, lll_reduce, shortest_kernel_vector
 from .pade import PadeApproximant, assemble, build_approximant, constraint_matrix, \
     siegel_height_bound
-from .polynomial import Poly, SeriesTrunc, lcm_range, poly_divmod, poly_gcd, \
-    product_height_bound
+from .polynomial import Poly, lcm_range, truncated_product
 from .quadratic import CFExpansion, QuadConvergent, ReductionReport, Theorem5Report, \
     cf_sqrt, convergent_gap_check, pell_bound_check, reduce_to_theorem1, theorem5_scan
-from .ratfun import RatFunMatrix
 from .transcend import exp_frac, exp_interval, log2_enclosure, log10_enclosure, \
     log_frac, log_interval
 from .verify import ChainReplay, CorollaryReport, VerifyReport, XiWitness, \
@@ -44,8 +42,8 @@ __all__ = [
     "IntervalReal", "InternalCertificateError", "IteratedFamily",
     "IterationStepCert", "KernelVectorError", "NoConvergentTailBound",
     "PadeApproximant", "Poly", "PreconditionError", "QuadConvergent",
-    "RankDeficiencyError", "RatFunMatrix", "ReductionReport", "RepetitionProfile",
-    "SeriesTrunc", "Theorem2Report", "Theorem5Report", "VerifyReport",
+    "RankDeficiencyError", "ReductionReport", "RepetitionProfile",
+    "Theorem2Report", "Theorem5Report", "VerifyReport",
     "XiWitness", "ZeroEstimateCheck", "assemble", "bound_height_Qk",
     "bound_remainder", "build_approximant", "cf_sqrt", "check_eqhyp",
     "compute_constants", "constraint_matrix", "construct_xi",
@@ -55,10 +53,9 @@ __all__ = [
     "integer_kernel_basis", "inth_root_floor", "iterate", "lcm_range",
     "lll_reduce", "load_system", "log10_enclosure", "log2_enclosure",
     "log_frac", "log_interval", "parse_system", "pell_bound_check",
-    "poly_divmod", "poly_gcd", "product_height_bound",
     "profile_with_expansion", "reduce_to_theorem1", "repetition_count",
     "repetition_profile", "replay_chain", "resolve_system", "scan_nearest",
     "shortest_kernel_vector", "siegel_height_bound",
-    "theorem2_bound_check", "theorem2_convergent", "theorem5_scan",
+    "theorem2_bound_check", "theorem2_convergent", "theorem5_scan", "truncated_product",
     "value_producer", "verify_growth", "verify_theorem1", "zero_estimate_check",
 ]

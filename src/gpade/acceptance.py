@@ -91,7 +91,7 @@ def li2_constants(li2: GFunctionSystem) -> SuiteRecord:
     """Criterion 1: the constant chain of the dilogarithm pair."""
     rep = compute_constants(li2, 1, 10, Fraction(0), 100, digits=48, allow_desk_scale=True)
     c1_match = rep.c1_sym == (Fraction(4), Fraction(66))
-    below = rep.c4.certainly_lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo)
+    below = rep.c4.lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo) is True
     rec = SuiteRecord("suite-constants")
     rec.add("c1-closed-form", fmt_sym(rep.c1_sym))
     rec.add("c1-matches-4e66", c1_match, c1_match)
@@ -176,7 +176,7 @@ def xi_chain(systems: dict, quick: bool, precision: int) -> SuiteRecord:
     failures = 0
     for arg, a, b, B, m, n, p, q, h in instances:
         ch = verify_theorem1(systems[arg], a, b, B, m, n, digits=precision,
-                             property_mode=True, pqh=(p, q, h)).chain
+                             pqh=(p, q, h)).chain
         failures += ch is None or not (ch.witness.divisible_by_bm and ch.all_certified)
     rec = SuiteRecord("suite-xi-chain")
     rec.add("instances", len(instances))

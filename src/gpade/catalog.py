@@ -5,9 +5,10 @@ Y = (F_0 = 1, F_1, ..., F_N) of power series solving Y' = A(z) Y:
 
   * exact Taylor coefficients f_{j,n} and common denominators d_n
     (d_n * f_{j,m} is an integer for every j and every m <= n),
-  * the matrix A with common-denominator polynomial Dpoly (Dpoly * A is a
-    polynomial matrix, row 0 of A identically zero),
-  * the degree budget d with deg Dpoly <= d and deg(Dpoly * A) <= d - 1,
+  * the system itself as Dpoly and the polynomial matrix DA = Dpoly * A
+    (row 0 identically zero), so that Dpoly Y' = DA Y; A is never formed,
+    and the test oracle `check_ode` compares both sides as truncated products,
+  * the degree budget d with deg Dpoly <= d and deg DA <= d - 1,
   * growth constants: rational C with |f_{j,n}| <= C^{n+1}, and Dgrowth
     with d_n <= Dgrowth^{n+1}, certified over `verified_range`.
 
@@ -26,8 +27,7 @@ from typing import Callable, Optional, Union
 
 from .errors import PreconditionError
 from .intervals import CertifiedReal, IntervalReal, frac_nth_root
-from .polynomial import Poly, SeriesTrunc, lcm_range
-from .ratfun import RatFunMatrix
+from .polynomial import Poly, lcm_range, truncated_product
 from .transcend import EPower, exp_frac, le_epower
 
 Scalar = Union[int, Fraction]
@@ -57,7 +57,7 @@ class GFunctionSystem:
     """
 
     def __init__(self, name: str, N: int, coeff: Callable[[int, int], Fraction],
-                 denom: Callable[[int], int], A: RatFunMatrix, D_poly: Poly,
+                 denom: Callable[[int], int], DA: list[list[Poly]], D_poly: Poly,
                  d: int, C: Fraction, Dgrowth_sym: EPower,
                  params: Optional[dict] = None,
                  validate: bool = True):
@@ -65,7 +65,7 @@ class GFunctionSystem:
         self.N = N
         self._coeff = coeff
         self._denom = denom
-        self.A = A
+        self.DA = DA
         self.D_poly = D_poly
         self.d = d
         self.C = Fraction(C)
@@ -74,7 +74,6 @@ class GFunctionSystem:
         self.verified_range = 0
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
         self._denom_cache: dict[int, int] = {}
-        self._cleared: Optional[list[list[Poly]]] = None
         # (j, z) -> CertifiedReal of F_j(z), filled by verify.value_producer
         self._value_cache: dict[tuple[int, Fraction], CertifiedReal] = {}
         if validate:
@@ -83,16 +82,16 @@ class GFunctionSystem:
     # -- structural validation -----------------------------------------
 
     def _validate(self) -> None:
-        if self.A.nrows != self.N + 1 or self.A.ncols != self.N + 1:
-            raise PreconditionError("A must be (N+1) x (N+1)")
-        if not self.A.row_is_zero(0):
-            raise PreconditionError("row 0 of A must be identically zero")
+        if len(self.DA) != self.N + 1 or any(len(row) != self.N + 1 for row in self.DA):
+            raise PreconditionError("DA must be (N+1) x (N+1)")
+        if any(self.DA[0]):
+            raise PreconditionError("row 0 of DA must be identically zero")
         if self.D_poly.is_zero or self.D_poly.degree() > self.d:
             raise PreconditionError("deg Dpoly must be <= d and Dpoly nonzero")
-        for row in self.cleared_A():
+        for row in self.DA:
             for p in row:
                 if p.degree() > self.d - 1:
-                    raise PreconditionError("deg(Dpoly * A entry) must be <= d - 1")
+                    raise PreconditionError("deg(DA entry) must be <= d - 1")
         if self.C < 1:
             raise PreconditionError("C >= 1 required (normalize upward)")
         if self.coefficient(0, 0) != 1:
@@ -113,8 +112,9 @@ class GFunctionSystem:
             self._coeff_cache[key] = got
         return got
 
-    def series(self, j: int, order: int) -> SeriesTrunc:
-        return SeriesTrunc([self.coefficient(j, n) for n in range(order)], order)
+    def series(self, j: int, order: int) -> list[Fraction]:
+        """f_{j,0} .. f_{j,order-1}: F_j known through z^(order-1)."""
+        return [self.coefficient(j, n) for n in range(order)]
 
     def denominator(self, n: int) -> int:
         """Common denominator d_n: d_n * f_{j,m} integral for all j, m <= n."""
@@ -139,26 +139,17 @@ class GFunctionSystem:
         coef, e_exp = self.Dgrowth_sym
         return (self.C * coef, e_exp)
 
-    # -- derived structures ------------------------------------------------
-
-    def cleared_A(self) -> list[list[Poly]]:
-        """Dpoly * A, entrywise polynomial."""
-        if self._cleared is None:
-            self._cleared = self.A.cleared(self.D_poly)
-        return self._cleared
+    # -- the differential system ------------------------------------------
 
     def check_ode(self, order: int) -> bool:
-        """Verify Dpoly * Y' == (Dpoly*A) * Y as series through z^(order-1)."""
-        F = [self.series(j, order + 1) for j in range(self.N + 1)]
-        DA = self.cleared_A()
-        for i in range(self.N + 1):
-            lhs = F[i].derivative().mul_poly(self.D_poly)
-            rhs = SeriesTrunc([], order)
-            for j in range(self.N + 1):
-                if not DA[i][j].is_zero:
-                    rhs = rhs + F[j].mul_poly(DA[i][j])
-            k = min(lhs.order, rhs.order, order)
-            if lhs.coeffs[:k] != rhs.coeffs[:k]:
+        """Verify Dpoly * Y' == DA * Y as series through z^(order-1)."""
+        F = [self.series(j, order) for j in range(self.N + 1)]
+        for i, row in enumerate(self.DA):
+            dF = [n * self.coefficient(i, n) for n in range(1, order + 1)]
+            lhs = truncated_product(self.D_poly, dF, order)
+            rhs = [sum(cs) for cs in zip(*(truncated_product(a, f, order)
+                                           for a, f in zip(row, F)))]
+            if lhs != rhs:
                 return False
         return True
 
@@ -168,7 +159,7 @@ class GFunctionSystem:
         Used to reduce negative evaluation points to positive ones; growth
         constants and denominators are unchanged.
         """
-        base_coeff, base_N = self._coeff, self.N
+        base_coeff = self._coeff
 
         def coeff(j: int, n: int) -> Fraction:
             c = base_coeff(j, n)
@@ -177,17 +168,11 @@ class GFunctionSystem:
         def flip(p: Poly) -> Poly:
             return Poly([(-1) ** i * c for i, c in enumerate(p.coeffs)])
 
-        A_entries = []
-        for i in range(base_N + 1):
-            row = []
-            for j in range(base_N + 1):
-                num, den = self.A.entry(i, j)
-                row.append((flip(num).scale(-1), flip(den)))
-            A_entries.append(row)
+        # Y(-z)' = -Y'(-z), so Dpoly(-z) Y(-z)' = -DA(-z) Y(-z)
         sysn = GFunctionSystem(
             name=self.name + "@neg", N=self.N, coeff=coeff, denom=self._denom,
-            A=RatFunMatrix(A_entries), D_poly=flip(self.D_poly), d=self.d,
-            C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params),
+            DA=[[-flip(p) for p in row] for row in self.DA], D_poly=flip(self.D_poly),
+            d=self.d, C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params),
             validate=False)
         sysn.verified_range = self.verified_range
         return sysn
@@ -245,15 +230,14 @@ def _polylog(s: int) -> GFunctionSystem:
     def denom(n: int) -> int:
         return lcm_range(n) ** s
 
-    # Y = (1, Li_1, ..., Li_s): Li_1' = 1/(1-z), Li_j' = Li_{j-1}/z
-    size = s + 1
-    A_rows: list[list] = [[(Poly(), Poly([1])) for _ in range(size)] for _ in range(size)]
-    A_rows[1][0] = (Poly([1]), Poly([1, -1]))          # 1/(1-z)
-    for j in range(2, size):
-        A_rows[j][j - 1] = (Poly([1]), Poly([0, 1]))   # 1/z
+    # Y = (1, Li_1, ..., Li_s): Li_1' = 1/(1-z), Li_j' = Li_{j-1}/z; Dpoly = z(1-z)
+    DA = [[Poly() for _ in range(s + 1)] for _ in range(s + 1)]
+    DA[1][0] = Poly([0, 1])
+    for j in range(2, s + 1):
+        DA[j][j - 1] = Poly([1, -1])
     return GFunctionSystem(
         name=f"polylog{s}", N=s, coeff=coeff, denom=denom,
-        A=RatFunMatrix(A_rows), D_poly=Poly([0, 1, -1]), d=2, C=Fraction(1),
+        DA=DA, D_poly=Poly([0, 1, -1]), d=2, C=Fraction(1),
         Dgrowth_sym=(Fraction(1), Fraction(s)), params={"s": s})
 
 
@@ -263,11 +247,10 @@ def _log1m() -> GFunctionSystem:
             return Fraction(1 if n == 0 else 0)
         return Fraction(0) if n == 0 else Fraction(-1, n)
 
-    A_rows = [[(Poly(), Poly([1])), (Poly(), Poly([1]))],
-              [(Poly([-1]), Poly([1, -1])), (Poly(), Poly([1]))]]  # -1/(1-z)
+    # log(1-z)' = -1/(1-z); Dpoly = 1-z
     return GFunctionSystem(
         name="log1m", N=1, coeff=coeff, denom=lcm_range,
-        A=RatFunMatrix(A_rows), D_poly=Poly([1, -1]), d=1, C=Fraction(1),
+        DA=[[Poly(), Poly()], [Poly([-1]), Poly()]], D_poly=Poly([1, -1]), d=1, C=Fraction(1),
         Dgrowth_sym=(Fraction(1), Fraction(1)))
 
 
@@ -310,8 +293,8 @@ def _binom_power(alpha: Fraction, fit_range: int = DEFAULT_FIT_RANGE) -> GFuncti
             g = root
     sysb = GFunctionSystem(
         name=f"binom[{alpha}]", N=1, coeff=coeff, denom=denom,
-        A=RatFunMatrix([[(Poly(), Poly([1])), (Poly(), Poly([1]))],
-                        [(Poly(), Poly([1])), (Poly([-alpha]), Poly([1, -1]))]]),
+        # ((1-z)^alpha)' = -alpha/(1-z) (1-z)^alpha; Dpoly = v(1-z)
+        DA=[[Poly(), Poly()], [Poly(), Poly([-alpha * v])]],
         D_poly=Poly([v, -v]), d=1, C=C,
         Dgrowth_sym=(g, Fraction(0)), params={"alpha": alpha, "fit_range": fit_range})
     rep = verify_growth(sysb, fit_range)

@@ -32,6 +32,13 @@ from .report import (STATUS_CERTIFIED, STATUS_HYPOTHESIS_UNMET, STATUS_INDETERMI
 from .verify import scan_nearest, value_producer, verify_theorem1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejected arguments take main's one usage-error path (exit 2), not SystemExit."""
+
+    def error(self, message: str):
+        raise PreconditionError(message)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--precision", type=int, default=64,
                     help="working decimal digits for interval refinement")
@@ -105,15 +112,13 @@ def cmd_build(args, echo: str) -> ReportWriter:
     return w
 
 
-def _emit_iteration(w: ReportWriter, system: GFunctionSystem, fam: IteratedFamily,
-                    include_polys: bool = True) -> None:
+def _emit_iteration(w: ReportWriter, system: GFunctionSystem, fam: IteratedFamily) -> None:
     for cert in fam.certs:
         w.record("iteration-step")
         w.kv("k", cert.k)
-        if include_polys:
-            w.kv("Q_k", fam.Q(cert.k))
-            for j in range(1, system.N + 1):
-                w.kv(f"P[{j},{cert.k}]", fam.P(j, cert.k))
+        w.kv("Q_k", fam.Q(cert.k))
+        for j in range(1, system.N + 1):
+            w.kv(f"P[{j},{cert.k}]", fam.P(j, cert.k))
         w.kv("deg-Q_k", fam.Q(cert.k).degree())
         w.kv("deg-bound", fam.base.q + (system.d - 1) * cert.k)
         w.kv("degree-ok", cert.degree_ok)
@@ -216,8 +221,7 @@ def cmd_verify(args, echo: str) -> ReportWriter:
             raise PreconditionError("--property-mode needs --p/--q/--h")
         pqh = (args.p, args.q, args.h)
     rep = verify_theorem1(system, args.a, args.b, args.B, args.m, n,
-                          j=args.j, digits=args.precision,
-                          property_mode=args.property_mode, pqh=pqh)
+                          j=args.j, digits=args.precision, pqh=pqh)
     w = ReportWriter(echo, args.precision)
     w.record("diophantine-bound")
     w.kv("system", rep.system_name)
@@ -370,7 +374,7 @@ def cmd_suite(args, echo: str) -> ReportWriter:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpade",
         description="Certified Pade-type approximants, constant chains, and "
                     "Diophantine checks for G-function systems.")
@@ -470,9 +474,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # reports print exact integers by contract; lift the str() size guard
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with precision_cap(args.max_precision):
             writer = args.handler(args, " ".join([str(a) for a in argv]))
     except (PreconditionError, InsufficientDigitsError, NoConvergentTailBound,

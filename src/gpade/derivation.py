@@ -1,16 +1,19 @@
 """Iterated approximant families, their certificates, and the zero estimate.
 
 Starting from the vector P = (Q, P_1, ..., P_N) of a type-II approximant, the
-k-th iterate is P_k = (1/k!) Dpoly^k (d/dz - A)^k P.  We compute it through
-the polynomial-only recurrence
+k-th iterate is P_k = (1/k!) Dpoly^k (d/dz - A)^k P.  The system hands over
+Dpoly and the polynomial matrix DA = Dpoly A, so we compute it through the
+polynomial-only recurrence
 
-    S_0 = P,    S_{k+1} = Dpoly * S_k' - k * Dpoly' * S_k - (Dpoly A) * S_k,
+    S_0 = P,    S_{k+1} = Dpoly * S_k' - k * Dpoly' * S_k - DA * S_k,
 
 with P_k = S_k / k!  (equal by induction: writing G_k for the rational
 iterate, the product rule collapses Dpoly S_k' - k Dpoly' S_k to
 Dpoly^{k+1} G_k').  Component 0 of P_k must coincide with the directly
-computed Q_k = (1/k!) Dpoly^k Q^(k); the mismatch check is a cheap arithmetic
-self-test and failing it means a bug, not bad input.
+computed Q_k = (1/k!) Dpoly^k Q^(k), carried along as Dpoly^k and Q^(k); the
+mismatch check is a cheap arithmetic self-test and failing it means a bug,
+not bad input.  Each certified order ord_0(Q_k F_j - P_{j,k}) is read off one
+truncated product Q_k F_j.
 
 The zero estimate is checked computationally: the determinant of the first
 N+1 iterated columns factors as z^vanish_order * reduced with a degree bound
@@ -23,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .catalog import GFunctionSystem
 from .errors import (DivisibilityError, InternalCertificateError, PreconditionError,
                      RankDeficiencyError)
 from .pade import PadeApproximant
-from .polynomial import Poly
+from .polynomial import Poly, truncated_product
 
 
 @dataclass
@@ -60,12 +64,11 @@ class IteratedFamily:
         return self.Pk[k][j - 1]
 
 
-def _falling_derivative_Qk(Q: Poly, D: Poly, k: int) -> Poly:
-    """(1/k!) D^k Q^(k), the direct form of the zero-component iterate."""
-    dk = Q
-    for _ in range(k):
-        dk = dk.derivative()
-    return (D ** k * dk).scale(Fraction(1, math.factorial(k)))
+def _order_verified(Q: Poly, F: Sequence[Fraction], P: Poly) -> int:
+    """First nonzero index of Q F - P below len(F) + max(val Q, 0), else that bound."""
+    n = len(F) + max(Q.valuation(), 0)
+    prod = truncated_product(Q, F, n)
+    return next((t for t, c in enumerate(prod) if c != P.coefficient(t)), n)
 
 
 def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFamily:
@@ -75,24 +78,23 @@ def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFami
     N, p, q, h, d = sys.N, base.p, base.q, base.h, sys.d
     D = sys.D_poly
     Dprime = D.derivative()
-    DA = sys.cleared_A()
 
     S: list[Poly] = [base.Q] + list(base.P)
     Qk_list: list[Poly] = []
     Pk_list: list[list[Poly]] = []
     certs: list[IterationStepCert] = []
 
-    # F_j series once, far enough that every residue subtraction is in range
+    # F_j once, known past every P_{j,k}
     # (deg P_{j,k} <= p + (d-1)K can exceed p + h for late iterates)
     order = p + max(h, (d - 1) * K) + 1
     F = {j: sys.series(j, order) for j in range(1, N + 1)}
+    Dk, Qder = Poly([1]), base.Q         # Dpoly^k and Q^(k)
 
     for k in range(K + 1):
         fact = math.factorial(k)
         Pk = [s.scale(Fraction(1, fact)) for s in S]
         Q_k = Pk[0]
-        cross = _falling_derivative_Qk(base.Q, D, k)
-        if cross != Q_k:
+        if (Dk * Qder).scale(Fraction(1, fact)) != Q_k:
             raise InternalCertificateError(
                 f"iterate cross-check failed at k={k}: recurrence and direct Q_k differ")
         P_k = Pk[1:]
@@ -102,11 +104,7 @@ def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFami
         dscale = sys.denominator(p + (d - 1) * k)
         cleared = all((dscale * pj).is_integral() for pj in P_k)
         targets = [max(0, p + h + 1 - k)] * N
-        verified = []
-        for j in range(1, N + 1):
-            resid = F[j].mul_poly(Q_k).sub_poly(P_k[j - 1])
-            val = resid.known_valuation()
-            verified.append(min(val, resid.order))
+        verified = [_order_verified(Q_k, F[j], P_k[j - 1]) for j in range(1, N + 1)]
         certs.append(IterationStepCert(
             k=k, degree_ok=deg_ok, Q_integral=Q_k.is_integral(),
             P_cleared=cleared, order_targets=targets, order_verified=verified))
@@ -114,7 +112,8 @@ def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFami
         Pk_list.append(P_k)
 
         if k < K:
-            S = [D * s.derivative() - k * Dprime * s - _mat_vec(DA, S, row)
+            Dk, Qder = Dk * D, Qder.derivative()
+            S = [D * s.derivative() - k * Dprime * s - _mat_vec(sys.DA, S, row)
                  for row, s in enumerate(S)]
     return IteratedFamily(base=base, K=K, Qk=Qk_list, Pk=Pk_list, certs=certs)
 

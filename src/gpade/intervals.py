@@ -204,14 +204,6 @@ class IntervalReal:
             raise PreconditionError("intersection of disjoint enclosures (inconsistent certificates)")
         return IntervalReal(lo, hi)
 
-    def certainly_lt(self, other) -> bool:
-        other = self._coerce(other)
-        return self.hi < other.lo
-
-    def certainly_gt(self, other) -> bool:
-        other = self._coerce(other)
-        return self.lo > other.hi
-
     # tristate comparisons of every point of self with every point of other:
     # True or False when all pairs agree, None when the enclosures overlap
 
@@ -226,9 +218,6 @@ class IntervalReal:
     def le(self, other) -> Optional[bool]:
         other = self._coerce(other)
         return True if self.hi <= other.lo else False if self.lo > other.hi else None
-
-    def certainly_nonzero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
 
     def decimal_str(self, digits: int = 12) -> str:
         """Outward-rounded decimal rendering 'lo..hi' (for reports)."""

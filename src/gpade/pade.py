@@ -24,7 +24,7 @@ from .catalog import GFunctionSystem
 from .errors import KernelVectorError, PreconditionError
 from .intervals import IntervalReal, decide, frac_pow
 from .lattice import shortest_kernel_vector
-from .polynomial import Poly, SeriesTrunc
+from .polynomial import Poly, truncated_product
 from .transcend import exp_frac
 
 
@@ -91,11 +91,6 @@ class PadeApproximant:
     siegel_ok: Optional[bool]    # None: the enclosure still straddles H(Q) at the cap
     kernel_vector: list[int] = field(default_factory=list)
 
-    def residue_series(self, j: int, order: int) -> SeriesTrunc:
-        """Series of Q F_j - P_j through the requested order."""
-        F = self.system.series(j, order)
-        return F.mul_poly(self.Q).sub_poly(self.P[j - 1])
-
 
 def assemble(sys: GFunctionSystem, p: int, q: int, h: int, v: list[int]) -> PadeApproximant:
     """Build and verify the approximant determined by kernel vector v.
@@ -113,15 +108,12 @@ def assemble(sys: GFunctionSystem, p: int, q: int, h: int, v: list[int]) -> Pade
     P: list[Poly] = []
     certificates: list[int] = []
     for j in range(1, sys.N + 1):
-        F = sys.series(j, target)
-        prod = F.mul_poly(Q)
-        P_j = Poly(prod.coeffs[: p + 1])
-        resid = prod.sub_poly(P_j)
-        if not resid.vanishes_through(target - 1):
-            bad = resid.known_valuation()
+        prod = truncated_product(Q, sys.series(j, target), target)
+        bad = next((t for t in range(p + 1, target) if prod[t]), None)
+        if bad is not None:
             raise KernelVectorError(
                 f"order condition fails for component {j}: coefficient z^{bad} survives")
-        P.append(P_j)
+        P.append(Poly(prod[: p + 1]))
         certificates.append(target)
     dp = sys.denominator(p)
     cleared = all((dp * P_j).is_integral() for P_j in P)

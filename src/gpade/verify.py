@@ -186,13 +186,12 @@ def _ceil_log(B: int, b: int) -> int:
 
 def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
                     config: Optional[ConstantsConfig] = None, j: Optional[int] = None,
-                    digits: int = 64, property_mode: bool = False,
-                    pqh: Optional[tuple[int, int, int]] = None,
-                    allow_desk_scale: bool = True) -> VerifyReport:
+                    digits: int = 64,
+                    pqh: Optional[tuple[int, int, int]] = None) -> VerifyReport:
     """Certify |F_j(a/b) - n/(B b^m)| >= 1/(B b^m (|a|+1)^{c4 m}).
 
-    Negative a is reduced through the z -> -z system transform.  In property
-    mode the proof chain is replayed at the caller-chosen (p, q, h): build the
+    Negative a is reduced through the z -> -z system transform.  Given pqh,
+    the proof chain is also replayed at that (p, q, h): build the
     approximant, iterate far enough for the nonvanishing scan, construct xi,
     then certify remainder-smallness, the balance inequality, and the
     resulting explicit distance bound.
@@ -207,7 +206,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
 
     t = _ceil_log(B, b)
     constants = compute_constants(work_sys, aa, b, Fraction(t), m, config,
-                                  digits=max(digits, 64), allow_desk_scale=allow_desk_scale)
+                                  digits=max(digits, 64), allow_desk_scale=True)
     hyp_ok = constants.hyp_b_ok and not constants.desk_scale
 
     exp_floor = (constants.c4.lo * m).numerator // (constants.c4.lo * m).denominator
@@ -217,11 +216,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     offset = Fraction(n, B * b ** m)
     ok, lhs_iv = _decide_distance(value, offset, rhs, max(16, digits // 2))
 
-    chain = None
-    if property_mode:
-        if pqh is None:
-            raise PreconditionError("property mode needs explicit (p, q, h)")
-        chain = replay_chain(work_sys, aa, b, B, m, n, j, pqh, value)
+    chain = None if pqh is None else replay_chain(work_sys, aa, b, B, m, n, j, pqh, value)
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
                         lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],

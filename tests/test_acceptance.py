@@ -72,7 +72,7 @@ def test_criterion_01_li2_constant_chain(polylog2, suite):
                             allow_desk_scale=True)
     assert rep.c1_sym == (Fraction(4), Fraction(66))
     assert rep.c2 == 12
-    assert rep.c4.certainly_lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo)
+    assert rep.c4.lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo) is True
     L2 = log2_enclosure(60)
     displayed = (IntervalReal.point(Fraction(1201779, 48))
                  + IntervalReal.point(Fraction(1185019, 3)) / L2

@@ -78,6 +78,9 @@ def test_negated_system(log1m):
         assert neg.coefficient(1, n) == (-1) ** n * log1m.coefficient(1, n)
     assert neg.check_ode(20)
     assert neg.D_poly == Poly([1, 1])
+    # the flipped series with the unflipped matrix is no solution
+    neg.DA = log1m.DA
+    assert not neg.check_ode(20)
     assert neg.denominator(9) == log1m.denominator(9)
 
 

@@ -135,6 +135,13 @@ def test_verify_property_mode(capsys):
     assert rec["status"] == "certified"
 
 
+def test_verify_property_mode_needs_pqh(capsys):
+    code = main(["verify", "--system", "log1m", "--a", "1", "--b", "10", "--B", "1",
+                 "--m", "1", "--n", "-1", "--property-mode"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("gpade: error: --property-mode needs")
+
+
 def test_digits_command(capsys):
     code, out = run_cli(capsys, "digits", "--system", "polylog2", "--a", "1",
                         "--b", "10", "--count", "120", "--window", "20:60", "--j", "2")
@@ -220,12 +227,16 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, system_file, args):
     path = tmp_path / "system.txt"
     if system_file is not None:
         path.write_bytes(system_file)
-    try:
-        code = main([{"{file}": str(path), "{dir}": str(tmp_path)}.get(a, a) for a in args])
-    except SystemExit as e:       # argparse rejects a bad option value itself
-        code = e.code
+    code = main([{"{file}": str(path), "{dir}": str(tmp_path)}.get(a, a) for a in args])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("gpade: error:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["constants", "--help"])
+    assert e.value.code == 0
+    assert "--strict" in capsys.readouterr().out
 
 
 def test_console_entry_point():

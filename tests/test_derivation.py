@@ -1,18 +1,62 @@
-import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpade import (
     Poly,
+    assemble,
     build_approximant,
     ell0_bound,
     find_nonvanishing_index,
     iterate,
     zero_estimate_check,
 )
-from gpade.derivation import _falling_derivative_Qk
-from gpade.errors import PreconditionError, RankDeficiencyError
+from gpade import derivation
+from gpade.derivation import _order_verified
+from gpade.errors import InternalCertificateError, KernelVectorError, PreconditionError
+
+
+class SeriesTrunc:
+    """Reference: the truncated-series arithmetic `pade.assemble` and `iterate`
+    certified orders with before `truncated_product`, cut to what they used."""
+
+    def __init__(self, coeffs, order: int):
+        cs = [Fraction(c) for c in coeffs[:order]]
+        cs.extend(Fraction(0) for _ in range(order - len(cs)))
+        self.coeffs, self.order = tuple(cs), order
+
+    def known_valuation(self) -> int:
+        return next((i for i, c in enumerate(self.coeffs) if c != 0), self.order)
+
+    def mul_poly(self, p: Poly) -> "SeriesTrunc":
+        if p.is_zero:
+            return SeriesTrunc([], self.order)
+        order = self.order + p.valuation()
+        out = [Fraction(0)] * order
+        for i, cp in enumerate(p.coeffs):
+            if cp == 0:
+                continue
+            for j, cs in enumerate(self.coeffs):
+                if i + j >= order:
+                    break
+                if cs:
+                    out[i + j] += cp * cs
+        return SeriesTrunc(out, order)
+
+    def sub_poly(self, p: Poly) -> "SeriesTrunc":
+        if p.degree() >= self.order:
+            raise PreconditionError("polynomial degree exceeds series order")
+        out = list(self.coeffs)
+        for i, c in enumerate(p.coeffs):
+            out[i] -= c
+        return SeriesTrunc(out, self.order)
+
+
+def reference_order_verified(Q: Poly, F: list, P: Poly) -> int:
+    resid = SeriesTrunc(F, len(F)).mul_poly(Q).sub_poly(P)
+    return min(resid.known_valuation(), resid.order)
 
 
 def test_hand_iterates(log1m):
@@ -48,15 +92,92 @@ def test_order_decay_by_one_per_step(polylog2):
         assert cert.order_ok
 
 
-def test_direct_Qk_formula_agrees(log1m):
-    # the recurrence path already cross-checks internally; verify the direct
-    # formula once more on a nontrivial Q
-    Q = Poly([3, -2, 5, 1])
-    D = Poly([1, -1])
-    k = 2
-    direct = _falling_derivative_Qk(Q, D, k)
-    manual = (D * D * Q.derivative().derivative()).scale(Fraction(1, math.factorial(k)))
-    assert direct == manual
+def test_cross_check_catches_corrupted_recurrence(log1m, monkeypatch):
+    base = build_approximant(log1m, 4, 3, 2)
+    mat_vec = derivation._mat_vec
+    monkeypatch.setattr(derivation, "_mat_vec",
+                        lambda DA, S, row: mat_vec(DA, S, row) + Poly([1]))
+    with pytest.raises(InternalCertificateError, match="k=1"):
+        iterate(base, log1m, 2)
+
+
+fractions = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def certificate_cases(draw):
+    """(Q, F, P): Q zero or of any valuation, P of every degree below len(F),
+    mostly a truncation of Q F so that long runs of zeros get certified."""
+    order = draw(st.integers(1, 9))
+    F = draw(st.lists(fractions, min_size=order, max_size=order))
+    v = draw(st.integers(0, 3))
+    Q = Poly([0] * v + draw(st.lists(fractions, max_size=4)))
+    deg = draw(st.integers(-1, order - 1))
+    prod = Q * Poly(F)
+    P = [prod.coefficient(t) for t in range(deg + 1)]
+    if P and draw(st.booleans()):
+        P[draw(st.integers(0, deg))] += draw(fractions)
+    return Q, F, Poly(P)
+
+
+@given(certificate_cases())
+@example((Poly(), [Fraction(1)] * 4, Poly())).via("zero Q, zero P")
+@example((Poly(), [Fraction(1)] * 4, Poly([0, 0, 5]))).via("zero Q")
+@example((Poly([0, 0, 1]), [Fraction(1)] * 3, Poly([0, 0, 1, 1, 1]))).via("val Q = 2")
+@settings(max_examples=300, deadline=None)
+def test_order_verified_equals_series_reference(case):
+    Q, F, P = case
+    assert _order_verified(Q, F, P) == reference_order_verified(Q, F, P)
+
+
+def reference_assemble(sys, p: int, h: int, v: list[int]):
+    """The deleted series path of `pade.assemble`: the P_j, or the first
+    (component, surviving coefficient) of a vector outside the kernel."""
+    target = p + h + 1
+    P = []
+    for j in range(1, sys.N + 1):
+        prod = SeriesTrunc(sys.series(j, target), target).mul_poly(Poly(v))
+        P_j = Poly(prod.coeffs[: p + 1])
+        resid = prod.sub_poly(P_j)
+        if any(resid.coeffs[:target]):
+            return j, resid.known_valuation()
+        P.append(P_j)
+    return P
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_assemble_equals_series_reference(log1m, polylog2, data):
+    sys = data.draw(st.sampled_from([log1m, polylog2]))
+    h = data.draw(st.integers(0, 2))
+    q = data.draw(st.integers(sys.N * h, sys.N * h + 2))
+    p = data.draw(st.integers(q, q + 3))
+    if data.draw(st.booleans()):
+        v = build_approximant(sys, p, q, h).kernel_vector
+    else:
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=q + 1, max_size=q + 1).filter(any))
+    ref = reference_assemble(sys, p, h, v)
+    if isinstance(ref, tuple):
+        with pytest.raises(KernelVectorError,
+                           match=rf"component {ref[0]}: coefficient z\^{ref[1]} survives"):
+            assemble(sys, p, q, h, v)
+    else:
+        approx = assemble(sys, p, q, h, v)
+        assert approx.P == ref
+        assert approx.order_certificates == [p + h + 1] * sys.N
+
+
+def test_iterate_certificates_equal_series_reference(log1m, polylog2):
+    # log1m (1,1,1) reaches Q_2 = 0; polylog Q_k carry valuation >= k from z(1-z)
+    for sys, (p, q, h), K in [(log1m, (1, 1, 1), 2), (log1m, (4, 3, 2), 4),
+                              (polylog2, (6, 4, 2), 5)]:
+        fam = iterate(build_approximant(sys, p, q, h), sys, K)
+        order = p + max(h, (sys.d - 1) * K) + 1
+        for k, cert in enumerate(fam.certs):
+            assert cert.order_verified == [
+                reference_order_verified(fam.Q(k), sys.series(j, order), fam.P(j, k))
+                for j in range(1, sys.N + 1)]
 
 
 def test_degree_growth_bound(polylog2):

@@ -54,13 +54,22 @@ def test_intersect_disjoint_raises():
 
 
 def test_certain_comparisons():
-    a = IntervalReal(0, 1)
-    b = IntervalReal(2, 3)
-    assert a.certainly_lt(b)
-    assert b.certainly_gt(a)
-    assert not a.certainly_lt(IntervalReal(Fraction(1, 2), 2))
-    assert IntervalReal(1, 2).certainly_nonzero()
-    assert not IntervalReal(-1, 1).certainly_nonzero()
+    # every point of the left against every point of the right:
+    # True / False when all pairs agree, None when they do not
+    a, b = IntervalReal(0, 1), IntervalReal(2, 3)
+    assert (a.lt(b), a.le(b), a.ge(b)) == (True, True, False)
+    assert (b.lt(a), b.le(a), b.ge(a)) == (False, False, True)
+    overlap = IntervalReal(Fraction(1, 2), 2)
+    assert (a.lt(overlap), a.le(overlap), a.ge(overlap)) == (None, None, None)
+    # touching endpoints: [0,1] vs [1,2] share the pair 1 = 1, so a <= touch and
+    # touch >= a hold for every pair, touch < a for none, a < touch for some
+    touch = IntervalReal(1, 2)
+    assert (a.lt(touch), a.le(touch), a.ge(touch)) == (None, True, None)
+    assert (touch.lt(a), touch.le(a), touch.ge(a)) == (False, None, True)
+    # a point against itself and rational operands
+    one = IntervalReal.point(1)
+    assert (one.lt(1), one.le(1), one.ge(1)) == (False, True, True)
+    assert (a.lt(Fraction(3, 2)), a.ge(-1), a.le(Fraction(1, 2))) == (True, True, None)
 
 
 def test_round_out_never_narrows():

@@ -11,8 +11,20 @@ from gpade import (
     constraint_matrix,
     shortest_kernel_vector,
     siegel_height_bound,
+    truncated_product,
 )
 from gpade.errors import KernelVectorError, PreconditionError
+
+
+def residue(approx, j: int, n: int) -> list[Fraction]:
+    """Coefficients z^0 .. z^(n-1) of Q F_j - P_j."""
+    prod = truncated_product(approx.Q, approx.system.series(j, n), n)
+    return [c - approx.P[j - 1].coefficient(t) for t, c in enumerate(prod)]
+
+
+def valuation(coeffs: list[Fraction]) -> int:
+    """Index of the first nonzero coefficient; len(coeffs) when all vanish."""
+    return next((t for t, c in enumerate(coeffs) if c), len(coeffs))
 
 
 def test_constraint_matrix_hand_example(log1m):
@@ -34,10 +46,10 @@ def test_hand_example_full_build(log1m):
 
 def test_hand_example_residue_series(log1m):
     approx = build_approximant(log1m, 1, 1, 1)
-    resid = approx.residue_series(1, 6)
-    assert resid.vanishes_through(2)
+    resid = residue(approx, 1, 6)
+    assert valuation(resid) == 3
     # (2-z) log(1-z) + 2z = sum_{n>=3} (1/(n-1) - 2/n) z^n = -z^3/6 - ...
-    assert resid.coefficient(3) == Fraction(-1, 6)
+    assert resid[3] == Fraction(-1, 6)
 
 
 def test_parameter_validation(log1m, polylog2):
@@ -67,7 +79,7 @@ def test_kernel_vector_rejections(log1m):
     with pytest.raises(PreconditionError):
         assemble(log1m, 1, 1, 1, [1, 2, 3])
     # a vector that is not in the kernel must be caught by the order check
-    with pytest.raises(KernelVectorError):
+    with pytest.raises(KernelVectorError, match=r"component 1: coefficient z\^2 survives"):
         assemble(log1m, 1, 1, 1, [1, 1])
 
 
@@ -77,8 +89,7 @@ def test_nondiagonal_orders(polylog2):
     assert not approx.Q.is_zero
     for j in (1, 2):
         assert approx.P[j - 1].degree() <= 5
-        resid = approx.residue_series(j, 10)
-        assert resid.vanishes_through(7)     # p + h = 7
+        assert valuation(residue(approx, j, 10)[:8]) == 8     # p + h = 7
     assert approx.denominator_cleared
 
 
@@ -120,9 +131,8 @@ def test_siegel_bound_symbolic_vs_rational_growth(binom_half):
 def test_order_beyond_certificate_not_claimed(log1m):
     approx = build_approximant(log1m, 2, 2, 1)
     assert approx.order_certificates == [4]
-    resid = approx.residue_series(1, 8)
     # the certificate is sharp here: z^4 coefficient survives
-    assert resid.known_valuation() == 4
+    assert valuation(residue(approx, 1, 8)) == 4
 
 
 @given(st.integers(2, 8), st.integers(1, 3))
@@ -132,8 +142,7 @@ def test_log1m_grid_order_conditions(p, h):
     sys = resolve_system("log1m")
     for q in range(max(h, 1), p + 1):
         approx = build_approximant(sys, p, q, h)
-        resid = approx.residue_series(1, p + h + 2)
-        assert resid.vanishes_through(p + h)
+        assert valuation(residue(approx, 1, p + h + 2)[:p + h + 1]) == p + h + 1
         assert approx.Q.degree() <= q
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpade import Poly, SeriesTrunc, lcm_range, poly_divmod, poly_gcd, product_height_bound
+from gpade import Poly, lcm_range, truncated_product
 from gpade.errors import PreconditionError
 from gpade.polynomial import power_sum
 
@@ -29,7 +29,8 @@ def test_degree_valuation_height():
 
 def test_constant_and_monomial():
     assert Poly.constant(7).coeffs == (7,)
-    assert Poly.monomial(3, 2).coeffs == (0, 0, 3)
+    m = Poly([0, 0, 3])       # 3 z^2
+    assert m.degree() == m.valuation() == 2
 
 
 def test_arithmetic_small():
@@ -38,7 +39,7 @@ def test_arithmetic_small():
     assert (a * b).coeffs == (1, 0, -1)
     assert (a + b).coeffs == (2,)
     assert (a - b).coeffs == (0, 2)
-    assert (a ** 3).coeffs == (1, 3, 3, 1)
+    assert (a * a * a).coeffs == (1, 3, 3, 1)
 
 
 def test_derivative_and_eval():
@@ -51,7 +52,7 @@ def test_derivative_and_eval():
 def test_shift_up_down():
     p = Poly([0, 0, 1, 2])
     assert p.shift_down(2).coeffs == (1, 2)
-    assert p.shift_up(1).coeffs == (0, 0, 0, 1, 2)
+    assert (Poly([0, 1]) * p).shift_down(1) == p
     with pytest.raises(PreconditionError):
         Poly([1, 1]).shift_down(1)
 
@@ -59,30 +60,6 @@ def test_shift_up_down():
 def test_is_integral():
     assert Poly([1, -3]).is_integral()
     assert not Poly([Fraction(1, 2)]).is_integral()
-
-
-def test_divmod_exact():
-    num = Poly([1, 0, -1])    # (1-z)(1+z)
-    quo, rem = poly_divmod(num, Poly([1, 1]))
-    assert quo.coeffs == (1, -1)
-    assert rem.is_zero
-
-
-def test_gcd_monic():
-    a = Poly([1, 1]) * Poly([2, 2, 2])
-    b = Poly([1, 1]) * Poly([0, 5])
-    gcd = poly_gcd(a, b)
-    assert gcd.coeffs == (1, 1)
-
-
-def test_product_height_bound_cases():
-    a = Poly([1, 2])
-    b = Poly([3, -4, 5])
-    bound = product_height_bound(a, b)
-    assert (a * b).height() <= bound
-    assert bound == 2 * 2 * 5
-    with pytest.raises(PreconditionError):
-        product_height_bound(Poly(), a)
 
 
 def test_lcm_range():
@@ -99,22 +76,6 @@ def test_mul_commutes_and_degree_adds(a, b):
         assert (a * b).degree() == a.degree() + b.degree()
 
 
-@given(polys, nonzero_polys)
-@settings(max_examples=120)
-def test_divmod_reconstructs(a, b):
-    quo, rem = poly_divmod(a, b)
-    assert ((quo * b) + rem).coeffs == a.coeffs
-    assert rem.is_zero or rem.degree() < b.degree()
-
-
-@given(polys, polys)
-@settings(max_examples=120)
-def test_product_height_dominates(a, b):
-    if a.is_zero or b.is_zero:
-        return
-    assert (a * b).height() <= product_height_bound(a, b)
-
-
 @given(polys, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
 @settings(max_examples=120)
 def test_evaluation_is_ring_hom(p, z):
@@ -124,40 +85,51 @@ def test_evaluation_is_ring_hom(p, z):
 
 
 def test_series_basic():
-    s = SeriesTrunc.from_function(lambda n: Fraction(1, n) if n else Fraction(0), 5)
-    assert s.coefficient(3) == Fraction(1, 3)
-    with pytest.raises(PreconditionError):
-        s.coefficient(5)
+    s = [Fraction(1, n) if n else Fraction(0) for n in range(5)]
+    # times 1 the series comes back; an order-n product reads only f_0..f_{n-1}
+    assert truncated_product(Poly([1]), s, 5) == s
+    assert truncated_product(Poly([1]), s, 3) == s[:3]
+    with pytest.raises(IndexError):
+        truncated_product(Poly([1]), s, 6)
 
 
 def test_series_mul_orders():
-    # (z + ...) * (z + ...) known through z^5: orders add through valuations
-    a = SeriesTrunc.from_function(lambda n: Fraction(1) if n == 1 else Fraction(0), 4)
-    b = SeriesTrunc.from_function(lambda n: Fraction(1) if n == 1 else Fraction(0), 4)
-    prod = a * b
-    assert prod.coefficient(2) == 1
-    assert prod.order >= 5
+    # z * (z + ...) with the series known through z^3: the valuation of the
+    # polynomial extends the known product through z^4
+    f = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
+    assert truncated_product(Poly([0, 1]), f, 5) == [0, 0, 1, 0, 0]
+    assert truncated_product(Poly(), f, 4) == [0, 0, 0, 0]
 
 
 def test_series_poly_ops():
-    s = SeriesTrunc.from_function(lambda n: Fraction(1), 6)   # 1/(1-z) truncated
-    shifted = s.mul_poly(Poly([1, -1]))                       # should be 1
-    assert shifted.coefficient(0) == 1
-    assert all(shifted.coefficient(i) == 0 for i in range(1, 6))
-    resid = shifted.sub_poly(Poly([1]))
-    assert resid.vanishes_through(5)
+    ones = [Fraction(1)] * 6                                  # 1/(1-z) truncated
+    assert truncated_product(Poly([1, -1]), ones, 6) == [1, 0, 0, 0, 0, 0]
 
 
 def test_series_known_valuation():
-    s = SeriesTrunc.from_function(lambda n: Fraction(1) if n >= 3 else Fraction(0), 8)
-    assert s.known_valuation() == 3
+    s = [Fraction(1) if n >= 3 else Fraction(0) for n in range(8)]
+    assert Poly(truncated_product(Poly([2, 5]), s, 8)).valuation() == 3
 
 
 def test_poly_to_series_round_trip():
     p = Poly([1, 0, Fraction(2, 3)])
-    s = p.to_series(6)
-    assert s.coefficient(2) == Fraction(2, 3)
-    assert s.coefficient(4) == 0
+    s = truncated_product(p, [Fraction(1)] + [Fraction(0)] * 5, 6)
+    assert s == [1, 0, Fraction(2, 3), 0, 0, 0]
+    assert Poly(s) == p
+
+
+def _schoolbook(p: Poly, f, n: int) -> list[Fraction]:
+    """Full product of p with the known part of f, cut to z^0 .. z^(n-1)."""
+    full = p * Poly(f)
+    return [full.coefficient(t) for t in range(n)]
+
+
+@given(polys, st.lists(fractions, max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_truncated_product_is_cut_full_product(p, f):
+    # with f known through z^(n-1), coefficients below n + val p are exact
+    n = len(f) + max(p.valuation(), 0)
+    assert truncated_product(p, f, n) == _schoolbook(p, f, n)
 
 
 def _horner(coeffs, z: Fraction) -> Fraction:

@@ -125,11 +125,11 @@ def test_verify_theorem1_report(log1m):
 
 
 def test_verify_theorem1_property_mode(log1m):
-    rep = verify_theorem1(log1m, 1, 10, 1, 1, -1, property_mode=True, pqh=(3, 2, 2))
+    rep = verify_theorem1(log1m, 1, 10, 1, 1, -1, pqh=(3, 2, 2))
     assert rep.chain is not None
     assert rep.chain.all_certified
-    with pytest.raises(PreconditionError):
-        verify_theorem1(log1m, 1, 10, 1, 1, -1, property_mode=True)
+    # the chain is replayed exactly when (p, q, h) is given
+    assert verify_theorem1(log1m, 1, 10, 1, 1, -1).chain is None
 
 
 def test_verify_theorem1_negative_a(log1m):
