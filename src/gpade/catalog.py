@@ -147,8 +147,7 @@ class GFunctionSystem:
         for i, row in enumerate(self.DA):
             dF = [n * self.coefficient(i, n) for n in range(1, order + 1)]
             lhs = truncated_product(self.D_poly, dF, order)
-            rhs = [sum(cs) for cs in zip(*(truncated_product(a, f, order)
-                                           for a, f in zip(row, F)))]
+            rhs = sum((truncated_product(a, f, order) for a, f in zip(row, F)), Poly())
             if lhs != rhs:
                 return False
         return True
@@ -166,7 +165,7 @@ class GFunctionSystem:
             return -c if n % 2 else c
 
         def flip(p: Poly) -> Poly:
-            return Poly([(-1) ** i * c for i, c in enumerate(p.coeffs)])
+            return Poly([-c if i % 2 else c for i, c in enumerate(p.num)], p.den)
 
         # Y(-z)' = -Y'(-z), so Dpoly(-z) Y(-z)' = -DA(-z) Y(-z)
         sysn = GFunctionSystem(

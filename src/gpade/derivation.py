@@ -67,8 +67,8 @@ class IteratedFamily:
 def _order_verified(Q: Poly, F: Sequence[Fraction], P: Poly) -> int:
     """First nonzero index of Q F - P below len(F) + max(val Q, 0), else that bound."""
     n = len(F) + max(Q.valuation(), 0)
-    prod = truncated_product(Q, F, n)
-    return next((t for t, c in enumerate(prod) if c != P.coefficient(t)), n)
+    v = (truncated_product(Q, F, n) - P).valuation()
+    return v if 0 <= v < n else n
 
 
 def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFamily:
@@ -102,7 +102,7 @@ def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFami
         deg_ok = Q_k.degree() <= q + (d - 1) * k and all(
             pj.degree() <= p + (d - 1) * k for pj in P_k)
         dscale = sys.denominator(p + (d - 1) * k)
-        cleared = all((dscale * pj).is_integral() for pj in P_k)
+        cleared = all(dscale % pj.den == 0 for pj in P_k)
         targets = [max(0, p + h + 1 - k)] * N
         verified = [_order_verified(Q_k, F[j], P_k[j - 1]) for j in range(1, N + 1)]
         certs.append(IterationStepCert(

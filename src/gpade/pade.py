@@ -109,14 +109,14 @@ def assemble(sys: GFunctionSystem, p: int, q: int, h: int, v: list[int]) -> Pade
     certificates: list[int] = []
     for j in range(1, sys.N + 1):
         prod = truncated_product(Q, sys.series(j, target), target)
-        bad = next((t for t in range(p + 1, target) if prod[t]), None)
+        bad = next((t for t, c in enumerate(prod.num[p + 1:], p + 1) if c), None)
         if bad is not None:
             raise KernelVectorError(
                 f"order condition fails for component {j}: coefficient z^{bad} survives")
-        P.append(Poly(prod[: p + 1]))
+        P.append(Poly(prod.num[: p + 1], prod.den))
         certificates.append(target)
     dp = sys.denominator(p)
-    cleared = all((dp * P_j).is_integral() for P_j in P)
+    cleared = all(dp % P_j.den == 0 for P_j in P)
     height = max(abs(x) for x in v)
     ok, bound = decide(lambda dg: siegel_height_bound(sys, p, q, h, dg),
                        lambda iv: iv.ge(height), 32)

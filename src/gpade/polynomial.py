@@ -1,10 +1,12 @@
 """Dense univariate polynomials over exact rationals, and their products with series.
 
-Everything here is exact: coefficients are `fractions.Fraction` (or int, which
-is upgraded on entry).  No floating point enters any code path.  `power_sum` is
-the one series kernel: `Poly` evaluation, F_j(z), exp and atanh all sum with it.
-`truncated_product` is the one product of a `Poly` with a power series known
-to a finite order; a series is just its list of known coefficients.
+Everything here is exact, and no floating point enters any code path.  A
+`Poly` is integer numerators over one positive common denominator, so its
+arithmetic works on ints and normalizes once per result; its `coeffs` is a
+read-only `fractions.Fraction` view.  `power_sum` is the one series kernel:
+`Poly` evaluation, F_j(z), exp and atanh all sum with it.  `truncated_product`
+is the one product of a `Poly` with a power series known to a finite order; a
+series is just its list of known (int or Fraction) coefficients.
 """
 
 from __future__ import annotations
@@ -36,15 +38,39 @@ def power_sum(coeffs: Iterable[Scalar], z: Fraction) -> Fraction:
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, index = exponent, no trailing zeros."""
+    """Polynomial num[i]/den in z, index = exponent.
 
-    __slots__ = ("coeffs",)
+    Normalized: den > 0, gcd(den, *num) = 1, no trailing zeros, and the zero
+    polynomial is num = (), den = 1.  So equal polynomials have equal (num, den),
+    and each operation below works on ints and ends in one gcd pass.
+    `coeffs` is a read-only Fraction view for printing and tests.
+    """
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs: Iterable[Scalar] = (), den: int = 1):
+        """The polynomial with coefficients c_i / den (ints or Fractions), den > 0."""
+        if den <= 0:
+            raise PreconditionError("polynomial denominator must be positive")
+        cs = list(coeffs)
+        lcd = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (lcd // c.denominator) for c in cs], den * lcd)
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        self.num: tuple[int, ...] = tuple(num)
+        self.den: int = den
+
+    @classmethod
+    def _of(cls, num: list[int], den: int) -> "Poly":
+        """num/den, normalized; den > 0."""
+        p = cls.__new__(cls)
+        p._set(num, den)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -55,44 +81,48 @@ class Poly:
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def valuation(self) -> int:
         """Order of vanishing at 0; -1 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.num):
+            if c:
                 return i
         return -1
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def height(self) -> Fraction:
         """Max absolute coefficient (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self.num), default=0), self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -111,22 +141,28 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = [c * fa for c in self.num]
+        out += [0] * (len(other.num) - len(out))
+        for i, c in enumerate(other.num):
+            out[i] += fb * c
+        return Poly._of(out, self.den * fa)
+
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Poly":
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,15 +171,13 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self.num, other.num
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return Poly(out)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return Poly._of(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -151,37 +185,39 @@ class Poly:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Poly":
-        c = _frac(c)
-        return Poly([c * x for x in self.coeffs])
+        n = c.numerator
+        return Poly._of([n * x for x in self.num], self.den * c.denominator)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def shift_down(self, k: int) -> "Poly":
         """Divide by z^k; requires valuation >= k."""
-        if self.is_zero:
-            return self
-        if any(c != 0 for c in self.coeffs[:k]):
+        if any(self.num[:k]):
             raise PreconditionError(f"z^{k} does not divide polynomial")
-        return Poly(self.coeffs[k:])
+        return Poly._of(list(self.num[k:]), self.den)
 
     def __call__(self, z: Scalar) -> Fraction:
-        return power_sum(self.coeffs, _frac(z))
+        return power_sum(self.num, _frac(z)) / self.den
 
 
-def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Coefficients of z^0 .. z^(n-1) in p * f, for a series f known through z^(n-1).
+def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> Poly:
+    """p * f mod z^n, for a series f known through z^(n-1).
 
     Coefficient z^t reads f only through z^(t - val p): with n + val p in place
     of n, f known through z^(n-1) still suffices, so p's valuation extends how
-    far the product is known.  Every order certificate is read off this.
+    far the product is known.  Every order certificate is read off this.  The
+    series is cleared to integers once, and the product convolves integers.
     """
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p.coeffs[:n]):
+    fs = f[: n - max(p.valuation(), 0)]
+    lcd = math.lcm(*(c.denominator for c in fs))
+    fi = [c.numerator * (lcd // c.denominator) for c in fs]
+    out = [0] * n
+    for i, c in enumerate(p.num[:n]):
         if c:
             for t in range(i, n):
-                out[t] += c * f[t - i]
-    return out
+                out[t] += c * fi[t - i]
+    return Poly._of(out, lcd * p.den)
 
 
 def lcm_range(n: int) -> int:

@@ -18,8 +18,8 @@ from gpade.errors import KernelVectorError, PreconditionError
 
 def residue(approx, j: int, n: int) -> list[Fraction]:
     """Coefficients z^0 .. z^(n-1) of Q F_j - P_j."""
-    prod = truncated_product(approx.Q, approx.system.series(j, n), n)
-    return [c - approx.P[j - 1].coefficient(t) for t, c in enumerate(prod)]
+    resid = truncated_product(approx.Q, approx.system.series(j, n), n) - approx.P[j - 1]
+    return [resid.coefficient(t) for t in range(n)]
 
 
 def valuation(coeffs: list[Fraction]) -> int:
