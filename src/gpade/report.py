@@ -9,7 +9,7 @@ format can be parsed back (`parse_report`) to feed later stages.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import PreconditionError
 from .intervals import IntervalReal
@@ -53,13 +53,6 @@ def fmt_poly(p: Poly) -> str:
     if p.degree() < 0:
         return "0"
     return " ".join(fmt_fraction(c) for c in p.coeffs)
-
-
-def parse_poly(s: str) -> Poly:
-    parts = s.split()
-    if not parts:
-        raise PreconditionError("empty polynomial field")
-    return Poly([parse_fraction(c) for c in parts])
 
 
 def fmt_bool(b: bool) -> str:

@@ -46,6 +46,12 @@ def _e_enclosure(digits: int) -> IntervalReal:
     return _exp_series_01(Fraction(1), digits)
 
 
+@lru_cache(maxsize=None)
+def _e_power(n: int, guard: int) -> IntervalReal:
+    """e^n from the e enclosure at `guard` digits; shared, so never mutated."""
+    return _e_enclosure(guard).pow_int(n, sig=guard)
+
+
 def exp_frac(x: Scalar, digits: int) -> IntervalReal:
     """Enclosure of exp(x) for rational x, ~digits significant digits."""
     x = _frac(x)
@@ -58,9 +64,7 @@ def exp_frac(x: Scalar, digits: int) -> IntervalReal:
         return _exp_series_01(f, digits)
     # guard digits cover relative-error growth through the n-fold product
     guard = digits + _decimal_digits(n) + 6
-    en = _e_enclosure(guard).pow_int(n, sig=guard)
-    ef = _exp_series_01(f, guard)
-    return (en * ef).round_sig(digits + 2)
+    return (_e_power(n, guard) * _exp_series_01(f, guard)).round_sig(digits + 2)
 
 
 def _atanh_series(u: Fraction, digits: int) -> IntervalReal:

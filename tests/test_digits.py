@@ -13,7 +13,7 @@ from gpade import (
     theorem2_convergent,
     value_producer,
 )
-from gpade.digits import DigitString, _expand_exact
+from gpade.digits import _expand_exact
 from gpade.errors import InsufficientDigitsError, PreconditionError
 from gpade.intervals import precision_cap
 

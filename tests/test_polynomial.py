@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,3 +152,142 @@ def test_poly_eval_equals_horner(coeffs, z):
     # the kernel consumes any iterator, trailing zeros included
     assert power_sum(iter(coeffs), z) == _horner(coeffs, z)
     assert p(z.numerator) == _horner(p.coeffs, Fraction(z.numerator))
+
+
+class RefPoly:
+    """The tuple-of-Fractions polynomial arithmetic that `Poly` replaced, kept as
+    the reference: one Fraction operation, and so one gcd, per coefficient."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return RefPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ca in enumerate(self.coeffs):
+            for j, cb in enumerate(other.coeffs):
+                out[i + j] += ca * cb
+        return RefPoly(out)
+
+    def scale(self, c):
+        return RefPoly([Fraction(c) * x for x in self.coeffs])
+
+    def derivative(self):
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def shift_down(self, k):
+        if any(c != 0 for c in self.coeffs[:k]):
+            raise PreconditionError(f"z^{k} does not divide polynomial")
+        return RefPoly(self.coeffs[k:])
+
+    def __call__(self, z):
+        return sum((c * Fraction(z) ** i for i, c in enumerate(self.coeffs)), Fraction(0))
+
+    def coefficient(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def valuation(self):
+        return next((i for i, c in enumerate(self.coeffs) if c != 0), -1)
+
+    def height(self):
+        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+
+    def is_integral(self):
+        return all(c.denominator == 1 for c in self.coeffs)
+
+
+def ref_truncated_product(p: RefPoly, f, n: int) -> RefPoly:
+    out = [Fraction(0)] * n
+    for i, c in enumerate(p.coeffs[:n]):
+        if c:
+            for t in range(i, n):
+                out[t] += c * f[t - i]
+    return RefPoly(out)
+
+
+def same(p: Poly, ref: RefPoly) -> bool:
+    """p equals the reference and is normalized: integer numerators over a
+    positive denominator coprime to them, no trailing zero, den 1 for zero."""
+    assert all(type(c) is int for c in p.num) and type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    return p.coeffs == ref.coeffs
+
+
+# integer-only lists, lists with Fractions, and runs of zeros
+entries = st.one_of(st.integers(-20, 20), fractions, st.just(0))
+coeff_lists = st.one_of(st.lists(st.integers(-9, 9), max_size=7), st.lists(entries, max_size=7))
+scalars = st.one_of(st.integers(-12, 12), fractions)
+
+
+@given(coeff_lists, coeff_lists, scalars)
+@example([], [], 0)
+@example([1, 1], [1, -1], Fraction(1, 3))                 # (1+z)(1-z) cancels z
+@example([Fraction(1, 2), 3], [Fraction(1, 2), 3], -1)   # a - b and a + (-1) b vanish
+@example([Fraction(2, 3), Fraction(4, 3)], [6], Fraction(3, 2))
+@settings(max_examples=300, deadline=None)
+def test_poly_arithmetic_equals_fraction_reference(ca, cb, c):
+    a, b, ra, rb = Poly(ca), Poly(cb), RefPoly(ca), RefPoly(cb)
+    assert same(a, ra) and same(b, rb)
+    assert same(a + b, ra + rb)
+    assert same(a - b, ra - rb)
+    assert same(a - a, RefPoly())
+    assert same(-a, -ra)
+    assert same(a * b, ra * rb)
+    assert same(a.scale(c), ra.scale(c)) and same(c * a, ra.scale(c)) and same(a * c, ra.scale(c))
+    assert same(a + b.scale(c), ra + rb.scale(c))
+    assert same(a.derivative(), ra.derivative())
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    assert a == Poly(ra.coeffs) and hash(a) == hash(Poly(ra.coeffs))
+    if len(ra.coeffs) <= 1:
+        assert a == ra.coefficient(0)
+
+
+@given(coeff_lists, st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+       st.integers(-1, 8))
+@example([], Fraction(3), 0)
+@example([0, 0, Fraction(5, 6)], Fraction(-2, 7), 2)
+@settings(max_examples=300, deadline=None)
+def test_poly_queries_equal_fraction_reference(cs, z, i):
+    p, ref = Poly(cs), RefPoly(cs)
+    assert p(z) == ref(z) and p(z.numerator) == ref(z.numerator)
+    assert p.coefficient(i) == ref.coefficient(i)
+    assert p.valuation() == ref.valuation()
+    assert p.degree() == len(ref.coeffs) - 1
+    assert p.height() == ref.height()
+    assert p.is_integral() == ref.is_integral()
+    k = max(ref.valuation(), 0)
+    assert same(p.shift_down(k), ref.shift_down(k))
+    if ref.coeffs:
+        with pytest.raises(PreconditionError):
+            p.shift_down(k + 1)
+
+
+@given(coeff_lists, st.lists(entries, max_size=9))
+@example([1, -1], [1] * 6)                                # 1/(1-z) cut: all but 1 cancel
+@example([], [Fraction(1, 3)] * 4)
+@settings(max_examples=300, deadline=None)
+def test_truncated_product_equals_fraction_reference(cs, f):
+    p, ref = Poly(cs), RefPoly(cs)
+    f = [Fraction(c) for c in f]
+    n = len(f) + max(ref.valuation(), 0)
+    assert same(truncated_product(p, f, n), ref_truncated_product(ref, f, n))

@@ -12,7 +12,7 @@ from gpade import (
     reduce_to_theorem1,
     theorem5_scan,
 )
-from gpade.errors import InternalCertificateError, PreconditionError
+from gpade.errors import PreconditionError
 from gpade.quadratic import sqrt_enclosure
 from gpade.verify import _round_half_even
 

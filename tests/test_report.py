@@ -15,7 +15,6 @@ from gpade.report import (
     format_value,
     parse_fraction,
     parse_interval,
-    parse_poly,
     parse_report,
 )
 
@@ -48,18 +47,9 @@ def test_interval_format_shows_decimals():
         parse_interval("not an interval")
 
 
-@given(st.lists(fractions, max_size=6))
-@settings(max_examples=100)
-def test_poly_round_trip(cs):
-    p = Poly(cs)
-    assert parse_poly(fmt_poly(p)) == p
-
-
 def test_poly_zero_renders_as_zero():
     assert fmt_poly(Poly()) == "0"
-    assert parse_poly("0") == Poly()
-    with pytest.raises(PreconditionError):
-        parse_poly("   ")
+    assert fmt_poly(Poly([Fraction(1, 2), 0, -3])) == "1/2 0 -3"
 
 
 def test_tristate():

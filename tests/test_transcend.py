@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval
 from gpade.errors import PreconditionError
 from gpade.intervals import precision_cap
-from gpade.transcend import _atanh_series, _exp_series_01, le_epower, log2_enclosure, \
-    log10_enclosure
+from gpade.transcend import _atanh_series, _e_enclosure, _e_power, _exp_series_01, le_epower, \
+    log2_enclosure, log10_enclosure
 
 mpmath.mp.dps = 60
 
@@ -35,6 +35,22 @@ def test_exp_large_argument():
     assert mp_frac(mpmath.exp(mpmath.mpf(187) / 3)) in iv
     # relative width stays tight even though the value is ~10^27
     assert iv.width / iv.lo <= Fraction(1, 10**18)
+
+
+
+def test_exp_frac_reuses_cached_e_power():
+    # the cached e^n gives the interval the uncached expression gave
+    for x, digits in [(Fraction(187, 3), 20), (Fraction(7, 2), 40), (Fraction(10), 300)]:
+        n, f = divmod(x, 1)
+        guard = digits + len(str(n)) + 6
+        uncached = (_e_enclosure(guard).pow_int(n, sig=guard)
+                    * _exp_series_01(f, guard)).round_sig(digits + 2)
+        assert exp_frac(x, digits) == uncached
+    _e_power.cache_clear()
+    first = exp_frac(Fraction(187, 3), 20)
+    assert _e_power.cache_info().misses == 1
+    assert exp_frac(Fraction(187, 3), 20) == first
+    assert _e_power.cache_info().hits == 1
 
 
 def test_log_known_values():
