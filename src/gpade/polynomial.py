@@ -20,10 +20,6 @@ from .errors import PreconditionError
 Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def power_sum(coeffs: Iterable[Scalar], z: Fraction) -> Fraction:
     """Exact sum of c_i z^i, z = a/b, as s / (den b^n) with den = lcm of the c_i's
     denominators: integers only, normalized once."""
@@ -48,28 +44,25 @@ class Poly:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), den: int = 1):
+    num: tuple[int, ...]
+    den: int
+
+    def __new__(cls, coeffs: Iterable[Scalar] = (), den: int = 1) -> "Poly":
         """The polynomial with coefficients c_i / den (ints or Fractions), den > 0."""
         if den <= 0:
             raise PreconditionError("polynomial denominator must be positive")
         cs = list(coeffs)
         lcd = math.lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (lcd // c.denominator) for c in cs], den * lcd)
-
-    def _set(self, num: list[int], den: int) -> None:
-        while num and not num[-1]:
-            num.pop()
-        g = math.gcd(den, *num)
-        if g != 1:
-            num, den = [c // g for c in num], den // g
-        self.num: tuple[int, ...] = tuple(num)
-        self.den: int = den
+        return cls._of([c.numerator * (lcd // c.denominator) for c in cs], den * lcd)
 
     @classmethod
     def _of(cls, num: list[int], den: int) -> "Poly":
-        """num/den, normalized; den > 0."""
-        p = cls.__new__(cls)
-        p._set(num, den)
+        """num/den normalized: trailing zeros cut, one gcd pass; den > 0."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
+        p = object.__new__(cls)
+        p.num, p.den = tuple(c // g for c in num) if g != 1 else tuple(num), den // g
         return p
 
     # -- constructors -------------------------------------------------
@@ -141,28 +134,23 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other, over the lcm of the two denominators."""
+    def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        # over the lcm of the two denominators
         g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
+        fa, fb = other.den // g, self.den // g
         out = [c * fa for c in self.num]
         out += [0] * (len(other.num) - len(out))
         for i, c in enumerate(other.num):
             out[i] += fb * c
         return Poly._of(out, self.den * fa)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._combine(other, 1)
+    def __neg__(self) -> "Poly":
+        return Poly._of([-c for c in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,7 +186,7 @@ class Poly:
         return Poly._of(list(self.num[k:]), self.den)
 
     def __call__(self, z: Scalar) -> Fraction:
-        return power_sum(self.num, _frac(z)) / self.den
+        return power_sum(self.num, z) / self.den
 
 
 def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> Poly:
