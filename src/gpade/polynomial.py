@@ -44,15 +44,12 @@ class Poly:
 
     __slots__ = ("num", "den")
 
-    num: tuple[int, ...]
-    den: int
-
     def __new__(cls, coeffs: Iterable[Scalar] = (), den: int = 1) -> "Poly":
         """The polynomial with coefficients c_i / den (ints or Fractions), den > 0."""
         if den <= 0:
             raise PreconditionError("polynomial denominator must be positive")
         cs = list(coeffs)
-        lcd = math.lcm(*(c.denominator for c in cs))
+        lcd = math.lcm(*[c.denominator for c in cs])
         return cls._of([c.numerator * (lcd // c.denominator) for c in cs], den * lcd)
 
     @classmethod
@@ -62,7 +59,9 @@ class Poly:
             num.pop()
         g = math.gcd(den, *num)
         p = object.__new__(cls)
-        p.num, p.den = tuple(c // g for c in num) if g != 1 else tuple(num), den // g
+        # tuple() and *args get lists: a tuple built from a generator starts at 10
+        # slots and is resized, which drains one CPython free list into the others
+        p.num, p.den = tuple([c // g for c in num] if g != 1 else num), den // g
         return p
 
     # -- constructors -------------------------------------------------
@@ -75,7 +74,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     @property
     def is_zero(self) -> bool:
@@ -198,7 +197,7 @@ def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> Poly:
     series is cleared to integers once, and the product convolves integers.
     """
     fs = f[: n - max(p.valuation(), 0)]
-    lcd = math.lcm(*(c.denominator for c in fs))
+    lcd = math.lcm(*[c.denominator for c in fs])
     fi = [c.numerator * (lcd // c.denominator) for c in fs]
     out = [0] * n
     for i, c in enumerate(p.num[:n]):
