@@ -20,7 +20,7 @@ from .errors import PreconditionError
 Scalar = Union[int, Fraction]
 
 
-def power_sum(coeffs: Iterable[Scalar], z: Fraction) -> Fraction:
+def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> Fraction:
     """Exact sum of c_i z^i, z = a/b, as s / (den b^n) with den = lcm of the c_i's
     denominators: integers only, normalized once."""
     a, b = z.numerator, z.denominator

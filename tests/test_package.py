@@ -25,9 +25,6 @@ def _unused_imports(path: Path) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
-        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-            used |= {n.id for n in ast.walk(ast.parse(annotation.value)) if isinstance(n, ast.Name)}
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
