@@ -61,6 +61,10 @@ def test_shift_up_down():
 def test_is_integral():
     assert Poly([1, -3]).is_integral()
     assert not Poly([Fraction(1, 2)]).is_integral()
+    # an explicit denominator is divided out: 3 + 6z over 9 is (1 + 2z)/3
+    assert Poly([3, 6], 9).num == (1, 2) and Poly([3, 6], 3).is_integral()
+    with pytest.raises(PreconditionError):
+        Poly([1], 0)
 
 
 def test_lcm_range():
