@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import PreconditionError
-from .intervals import CertifiedReal, IntervalReal, frac_nth_root
+from .intervals import CertifiedReal, frac_nth_root
 from .polynomial import Poly, lcm_range, truncated_product
-from .transcend import EPower, exp_frac, le_epower
+from .transcend import EPower, le_epower
 
 Scalar = Union[int, Fraction]
 
@@ -128,12 +128,6 @@ class GFunctionSystem:
 
     # -- growth data ------------------------------------------------------
 
-    def Dgrowth(self, digits: int = 32) -> IntervalReal:
-        coef, e_exp = self.Dgrowth_sym
-        if e_exp == 0:
-            return IntervalReal.point(coef)
-        return (coef * exp_frac(e_exp, digits + 2)).round_sig(digits)
-
     def CD_sym(self) -> EPower:
         """C * Dgrowth as (coef, e_exponent)."""
         coef, e_exp = self.Dgrowth_sym
@@ -184,7 +178,7 @@ class GFunctionSystem:
         return f"GFunctionSystem({self.name!r}, N={self.N})"
 
 
-def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthReport:
+def verify_growth(sys: GFunctionSystem, n_max: int) -> GrowthReport:
     """Exactly check |f_{j,n}| <= C^{n+1} and d_n <= Dgrowth^{n+1} for n <= n_max.
 
     The Dgrowth comparison is transcend.le_epower: exact for a rational, and
@@ -203,7 +197,7 @@ def verify_growth(sys: GFunctionSystem, n_max: int, digits: int = 32) -> GrowthR
 
     first_D = None
     for n in range(0, n_max + 1):
-        if not le_epower(sys.denominator(n), sys.Dgrowth_sym, n + 1, digits):
+        if not le_epower(sys.denominator(n), sys.Dgrowth_sym, n + 1, 32):
             first_D = n
             break
 

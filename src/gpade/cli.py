@@ -2,8 +2,10 @@
 
 Every subcommand writes a deterministic line-oriented report (see report.py)
 to stdout or --out.  Exit codes: 0 when no check is violated, 1 when some
-check has status violated, 2 for usage or domain errors, 3 when an internal
-certificate fails (two independent computations disagreed).
+check has status violated, 2 for usage or domain errors (any other GpadeError),
+3 when an internal certificate fails (two independent computations disagreed)
+or on any other exception, which prints the one line
+`gpade: internal error: <Type>: <message>` instead of a traceback.
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ from .catalog import GFunctionSystem, resolve_system
 from .constants import ConstantsConfig, compute_constants
 from .derivation import IteratedFamily, iterate, zero_estimate_check
 from .digits import profile_with_expansion, theorem2_convergent
-from .errors import (DivisibilityError, HypothesisUnmetError, InsufficientDigitsError,
-                     InsufficientPrecisionError, InternalCertificateError,
-                     KernelVectorError, NoConvergentTailBound, PreconditionError,
-                     RankDeficiencyError)
+from .errors import (DivisibilityError, GpadeError, InternalCertificateError, KernelVectorError,
+                     PreconditionError, RankDeficiencyError)
 from .intervals import DEFAULT_DIGIT_CAP, precision_cap
 from .pade import PadeApproximant, assemble, build_approximant
 from .quadratic import cf_sqrt, convergent_gap_check, pell_bound_check, \
     reduce_to_theorem1, theorem5_scan
 from .report import (STATUS_CERTIFIED, STATUS_HYPOTHESIS_UNMET, STATUS_INDETERMINATE,
                      STATUS_VIOLATED, TRISTATE_STATUS, ReportWriter, fmt_fraction,
-                     fmt_poly, fmt_sym, fmt_tristate, parse_report)
+                     fmt_poly, fmt_sym, parse_report)
 from .verify import scan_nearest, value_producer, verify_theorem1
 
 
@@ -193,13 +193,13 @@ def cmd_constants(args, echo: str) -> ReportWriter:
         w.kv("c4-closed-form", rep.c4_reference)
         w.kv("c4-closed-form-agrees", not rep.c4_discrepancy)
     w.kv("y", rep.y)
-    w.kv("x", rep.x if rep.x is not None else None)
-    w.kv("h", rep.h if rep.h is not None else None)
-    w.kv("p", rep.p if rep.p is not None else None)
-    w.kv("q", rep.q if rep.q is not None else None)
-    w.kv("beta", rep.beta if rep.beta is not None else None)
+    w.kv("x", rep.x)
+    w.kv("h", rep.h)
+    w.kv("p", rep.p)
+    w.kv("q", rep.q)
+    w.kv("beta", rep.beta)
     w.kv("hyp-b-ok", rep.hyp_b_ok)
-    w.kv("hyp-m-ok", fmt_tristate(rep.hyp_m_ok))
+    w.kv("hyp-m-ok", rep.hyp_m_ok)
     w.kv("eqhyp", rep.eqhyp_status)
     w.kv("desk-scale", rep.desk_scale)
     if rep.desk_scale or not rep.hyp_b_ok or rep.hyp_m_ok is False:
@@ -249,9 +249,9 @@ def cmd_verify(args, echo: str) -> ReportWriter:
         w.kv("V", ch.witness.V_k)
         w.kv("denominator-scale", ch.witness.denominator_scale)
         w.kv("xi-divisible-by-b^m", ch.witness.divisible_by_bm)
-        w.kv("remainder-small", fmt_tristate(ch.eq_remainder_small))
-        w.kv("balance", fmt_tristate(ch.eq_balance))
-        w.kv("distance", fmt_tristate(ch.eq_distance))
+        w.kv("remainder-small", ch.eq_remainder_small)
+        w.kv("balance", ch.eq_balance)
+        w.kv("distance", ch.eq_distance)
         w.kv("distance-lower", ch.distance_lower)
         w.status(STATUS_CERTIFIED if ch.all_certified
                  else (STATUS_VIOLATED if ch.eq_distance is False else STATUS_INDETERMINATE))
@@ -259,6 +259,8 @@ def cmd_verify(args, echo: str) -> ReportWriter:
 
 
 def cmd_digits(args, echo: str) -> ReportWriter:
+    if args.b < 2 or args.s < 1:
+        raise PreconditionError("need b >= 2 and s >= 1")
     system = resolve_system(args.system)
     j = args.j if args.j is not None else system.N
     work, aa = system.sign_reduced(args.a)
@@ -300,9 +302,9 @@ def cmd_digits(args, echo: str) -> ReportWriter:
     w.kv("p_n", conv.p_n)
     w.kv("q_n", conv.q_n)
     w.kv("bound-strict", conv.bound)
-    w.kv("holds-strict", fmt_tristate(conv.holds))
+    w.kv("holds-strict", conv.holds)
     w.kv("bound-provable", conv.bound_relaxed)
-    w.kv("holds-provable", fmt_tristate(conv.holds_relaxed))
+    w.kv("holds-provable", conv.holds_relaxed)
     w.kv("distance", conv.distance)
     w.status(TRISTATE_STATUS[conv.holds_relaxed])
     return w
@@ -337,7 +339,7 @@ def cmd_sqrt(args, echo: str) -> ReportWriter:
     w.kv("system", red.system_name)
     w.kv("N_d", red.N_d)
     w.kv("alpha-ge-N_d", red.alpha_ge_Nd)
-    w.kv("hyp-b-ok", fmt_tristate(red.hyp_b_ok))
+    w.kv("hyp-b-ok", red.hyp_b_ok)
     w.kv("m-threshold", red.m_threshold)
     w.kv("identity-width", red.identity_width)
     w.kv("identity-series-checked", red.identity_series_checked)
@@ -478,20 +480,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         with precision_cap(args.max_precision):
             writer = args.handler(args, " ".join([str(a) for a in argv]))
-    except (PreconditionError, InsufficientDigitsError, NoConvergentTailBound,
-            InsufficientPrecisionError, HypothesisUnmetError) as e:
-        print(f"gpade: error: {e}", file=sys.stderr)
-        return 2
+        text = writer.render()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (InternalCertificateError, DivisibilityError, KernelVectorError,
             RankDeficiencyError) as e:
         print(f"gpade: internal certificate failure: {e}", file=sys.stderr)
         return 3
-    text = writer.render()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except GpadeError as e:
+        print(f"gpade: error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        print(f"gpade: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     return 1 if writer.any_violated else 0
 
 

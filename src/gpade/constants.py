@@ -1,11 +1,12 @@
 """Quantitative bound chain: height/remainder bounds and the effective constants.
 
 Two kinds of output live here.  The per-approximant bounds are exact
-rationals: the Siegel-style height bound for iterated numerators and the
-geometric remainder bound.  The constant chain (chi, c1..c8, the schedule
-x, y, h, p, q, beta and the smallness hypothesis) mixes rationals with
-certified enclosures of e-powers and logarithms; every interval field
-contains its true real value and precision is user-settable.
+rationals: the height bound for iterated numerators, which scales the Siegel
+factor the approximant already carries (`siegel_bound`, decided once in
+pade.assemble), and the geometric remainder bound.  The constant chain (chi,
+c1..c8, the schedule x, y, h, p, q, beta and the smallness hypothesis) mixes
+rationals with certified enclosures of e-powers and logarithms; every
+interval field contains its true real value and precision is user-settable.
 
 h0, h1, h2 are knobs, not derived: the sources they come from are effective
 but never instantiated numerically, so they enter only through
@@ -22,7 +23,7 @@ from .catalog import GFunctionSystem
 from .derivation import IteratedFamily
 from .errors import (HypothesisUnmetError, InsufficientPrecisionError,
                      PreconditionError)
-from .intervals import PRECISION_CAP, IntervalReal, _decimal_digits, decide, frac_pow
+from .intervals import PRECISION_CAP, IntervalReal, _decimal_digits, decide, frac_pow, settle
 from .pade import PadeApproximant
 from .transcend import (EPower, exp_frac, exp_interval, le_epower, log2_enclosure, log_epower,
                         log_frac, log_interval)
@@ -50,23 +51,17 @@ def _require_verified(sys: GFunctionSystem, p: int, h: int) -> None:
             "run verify_growth first")
 
 
-def bound_height_Qk(approx: PadeApproximant, sys: GFunctionSystem, k: int,
-                    digits: int = 32) -> Fraction:
-    """Rational upper bound 2^{2q+(d-1)k+1} H(Dpoly)^k (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}."""
+def bound_height_Qk(approx: PadeApproximant, sys: GFunctionSystem, k: int) -> Fraction:
+    """Rational upper bound 2^{2q+(d-1)k+1} H(Dpoly)^k (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}.
+
+    The Siegel factor is the approximant's own enclosure of
+    1 + (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}, less 1 (exactly 1 when Nh = 0).
+    """
     if k < 0:
         raise PreconditionError("k must be >= 0")
-    p, q, h = approx.p, approx.q, approx.h
-    _require_verified(sys, p, h)
-    N, d = sys.N, sys.d
-    H = sys.D_poly.height()
-    Nh = N * h
-    if Nh == 0:
-        siegel_factor = Fraction(1)
-    else:
-        cd_hi = (sys.C * sys.Dgrowth(digits)).hi
-        base = q * cd_hi ** (p + h + 1)
-        siegel_factor = frac_pow(base, Fraction(Nh, q + 1 - Nh), digits).hi
-    return Fraction(2) ** (2 * q + (d - 1) * k + 1) * H ** k * siegel_factor
+    _require_verified(sys, approx.p, approx.h)
+    return (Fraction(2) ** (2 * approx.q + (sys.d - 1) * k + 1) * sys.D_poly.height() ** k
+            * (approx.siegel_bound.hi - 1))
 
 
 def _height_Qk(fam_or_approx, k: int) -> Fraction:
@@ -284,10 +279,7 @@ def _floor_certified(producer, at_least, digits: int) -> int:
         ge = at_least(k)
         return None if ge is None else k if ge else lo
 
-    floor, _ = decide(producer, verdict, digits)
-    if floor is None:
-        raise InsufficientPrecisionError(
-            "floor undecided at precision cap (value too close to an integer)")
+    floor, _ = settle(producer, verdict, digits, "floor (value too close to an integer)")
     return floor
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .catalog import GFunctionSystem
-from .constants import ConstantsConfig, compute_constants
+from .constants import compute_constants
 from .errors import InsufficientDigitsError, PreconditionError
 from .intervals import (PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor,
                         width_digits)
@@ -187,8 +187,7 @@ class RepetitionProfile:
 
 
 def repetition_profile(ds: DigitString, t: int, window: tuple[int, int],
-                       value: Optional[CertifiedReal] = None,
-                       fit_samples: int = 24) -> RepetitionProfile:
+                       value: Optional[CertifiedReal] = None) -> RepetitionProfile:
     """Repetition counts over a window, plus a descriptive approximation-exponent fit."""
     n_lo, n_hi = window
     if n_lo < 1 or n_hi < n_lo:
@@ -201,19 +200,20 @@ def repetition_profile(ds: DigitString, t: int, window: tuple[int, int],
         ratio = Fraction(cnt, n)
         if ratio > max_ratio:
             max_ratio = ratio
-    vb = _empirical_exponent(ds, value, fit_samples) if value is not None else None
+    vb = _empirical_exponent(ds, value) if value is not None else None
     return RepetitionProfile(t=t, window=window, values=values,
                              max_ratio=max_ratio, empirical_vb=vb)
 
 
-def _empirical_exponent(ds: DigitString, value: CertifiedReal, samples: int) -> Fraction:
-    """max_m of the exponent e with |value - n/b^m| = b^{-e m} at the nearest n.
+def _empirical_exponent(ds: DigitString, value: CertifiedReal) -> Fraction:
+    """max_m of the exponent e with |value - n/b^m| = b^{-e m} at the nearest n,
+    over about 24 samples of m.
 
     Descriptive only: computed from midpoints at fixed precision.
     """
     b = ds.base
     m_max = max(2, ds.certified_len - 2)
-    step = max(1, m_max // samples)
+    step = max(1, m_max // 24)
     best = Fraction(0)
     logb = log_frac(Fraction(b), 12)
     for m in range(2, m_max + 1, step):
@@ -240,18 +240,16 @@ def _empirical_exponent(ds: DigitString, value: CertifiedReal, samples: int) -> 
 
 def profile_with_expansion(value: Value, base: int, t: int,
                            window: tuple[int, int],
-                           count: Optional[int] = None,
-                           max_count: Optional[int] = None) -> tuple[DigitString, RepetitionProfile]:
+                           count: Optional[int] = None) -> tuple[DigitString, RepetitionProfile]:
     """Expand far enough that every repetition count in the window certifies.
 
-    max_count (default: the precision cap) stops the retry loop on values
+    The retry loop stops at the precision cap (as a digit count) on values
     whose expansion is eventually periodic (a repetition that never breaks
     cannot be counted).
     """
     if count is None:
         count = window[1] + 4 * t + 16
-    if max_count is None:
-        max_count = PRECISION_CAP.get()
+    max_count = PRECISION_CAP.get()
     cval = value if isinstance(value, CertifiedReal) else None
     while True:
         ds = expand_digits(value, base, count)
@@ -281,7 +279,6 @@ class Theorem2Report:
 
 def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
                          eps: Fraction, window: tuple[int, int],
-                         config: Optional[ConstantsConfig] = None,
                          j: Optional[int] = None, digits: int = 64) -> Theorem2Report:
     """Empirical repetition profile of F(a/b^s) in base b plus hypothesis flags."""
     eps = Fraction(eps)
@@ -297,7 +294,7 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
     ds, profile = profile_with_expansion(value, b, t, window)
     count = ds.certified_len
 
-    constants = compute_constants(work_sys, aa, b, Fraction(t), max(1, s), config,
+    constants = compute_constants(work_sys, aa, b, Fraction(t), max(1, s),
                                   digits=digits, allow_desk_scale=True)
     coef, e_exp = constants.c1_sym
     hyp1 = not le_epower(b ** s, (coef * aa, e_exp), constants.c2, digits)

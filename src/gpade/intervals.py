@@ -306,6 +306,16 @@ def decide(produce: Callable[[int], R], verdict: Callable[[R], Optional[V]],
         d = min(2 * d, cap)
 
 
+def settle(produce: Callable[[int], R], verdict: Callable[[R], Optional[V]],
+           start: int, what: str) -> tuple[V, R]:
+    """`decide` for a decision that must be made: raises InsufficientPrecisionError,
+    naming `what` and the cap, when the verdict is still None at the cap."""
+    answer, result = decide(produce, verdict, start)
+    if answer is None:
+        raise InsufficientPrecisionError(f"{what} undecided at precision cap {PRECISION_CAP.get()}")
+    return answer, result
+
+
 def settled_floor(iv: IntervalReal) -> Optional[int]:
     """floor of every point of `iv` when they all share it, else None."""
     lo = iv.lo.numerator // iv.lo.denominator
@@ -347,11 +357,9 @@ class CertifiedReal:
         width = _frac(width)
         if width <= 0:
             raise PreconditionError("target width must be positive")
-        ok, iv = decide(self.enclosure, lambda iv: iv.width <= width or None,
-                        max(self._best_digits, width_digits(width) + 1))
-        if ok is None:
-            raise InsufficientPrecisionError(
-                f"cannot reach width {width} within precision cap {PRECISION_CAP.get()}")
+        _, iv = settle(self.enclosure, lambda iv: iv.width <= width or None,
+                       max(self._best_digits, width_digits(width) + 1),
+                       f"{self.name or 'value'} to width {width}")
         return iv
 
 

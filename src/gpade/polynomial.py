@@ -64,12 +64,6 @@ class Poly:
         p.num, p.den = tuple([c // g for c in num] if g != 1 else num), den // g
         return p
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls([c])
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -110,7 +104,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
+            return self == Poly([other])
         return NotImplemented
 
     def __hash__(self):

@@ -22,10 +22,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional
 
-from .catalog import GFunctionSystem, resolve_system
-from .constants import ConstantsConfig, ConstantsReport, compute_constants
-from .errors import InsufficientPrecisionError, InternalCertificateError, PreconditionError
-from .intervals import IntervalReal, decide, frac_nth_root, frac_pow
+from .catalog import resolve_system
+from .constants import ConstantsReport, compute_constants
+from .errors import InternalCertificateError, PreconditionError
+from .intervals import IntervalReal, frac_nth_root, frac_pow, settle
 from .transcend import exp_interval, log_epower, log_frac, log_interval
 from .verify import _settled_nearest, eval_certified
 
@@ -39,10 +39,6 @@ def _split_rational(d: Fraction) -> tuple[int, int]:
     if s * s == u * v:
         raise PreconditionError("sqrt(d) rational")
     return u, v
-
-
-def sqrt_enclosure(d: Fraction, digits: int) -> IntervalReal:
-    return frac_nth_root(Fraction(d), 2, digits)
 
 
 @dataclass
@@ -113,32 +109,24 @@ def cf_sqrt(d: Fraction, count: int) -> CFExpansion:
                        period=period, convergents=convs)
 
 
-def _certify_le(lhs: Fraction, rhs_producer, digits: int = 16) -> bool:
-    """Decide rational lhs <= irrational rhs(digits) by escalation."""
-    le, _ = decide(rhs_producer, lambda rhs: rhs.ge(lhs), digits)
-    if le is None:
-        raise InsufficientPrecisionError("comparison undecided at precision cap")
-    return le
-
-
-def pell_bound_check(conv: QuadConvergent, d: Fraction, digits: int = 16) -> bool:
+def pell_bound_check(conv: QuadConvergent, d: Fraction) -> bool:
     """Certify |v a^2 - u b^2| / v <= 2 sqrt(d) + 1 with interval sqrt(d)."""
     d = Fraction(d)
     _split_rational(d)
     lhs = Fraction(abs(conv.pell_value), d.denominator)
-    return _certify_le(lhs, lambda dg: sqrt_enclosure(d, dg) * 2 + 1, digits)
+    le, _ = settle(lambda dg: frac_nth_root(d, 2, dg) * 2 + 1, lambda rhs: rhs.ge(lhs), 16,
+                   "Pell bound comparison")
+    return le
 
 
-def convergent_gap_check(conv: QuadConvergent, d: Fraction, digits: int = 16) -> bool:
+def convergent_gap_check(conv: QuadConvergent, d: Fraction) -> bool:
     """Certify |sqrt(d) - alpha/beta| < 1/beta^2."""
     d = Fraction(d)
     _split_rational(d)
     target = Fraction(conv.alpha, conv.beta)
     bound = Fraction(1, conv.beta ** 2)
-    lt, _ = decide(lambda dg: abs(sqrt_enclosure(d, dg) - target),
-                   lambda gap: gap.lt(bound), digits)
-    if lt is None:
-        raise InsufficientPrecisionError("gap comparison undecided at precision cap")
+    lt, _ = settle(lambda dg: abs(frac_nth_root(d, 2, dg) - target),
+                   lambda gap: gap.lt(bound), 16, "gap comparison")
     return lt
 
 
@@ -159,10 +147,7 @@ class ReductionReport:
     identity_series_checked: bool
 
 
-def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
-                       config: Optional[ConstantsConfig] = None,
-                       digits: int = 48,
-                       system: Optional[GFunctionSystem] = None) -> ReductionReport:
+def reduce_to_theorem1(conv: QuadConvergent, d: Fraction) -> ReductionReport:
     """Map a convergent of sqrt(d) to an (a, b) instance of the square-root system.
 
     a = v alpha^2 - u beta^2 and b = v alpha^2 make sqrt(1 - a/b) equal to
@@ -176,29 +161,27 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
     if a == 0:
         raise InternalCertificateError(
             "exact Pell value 0 would make sqrt(d) rational")
-    sys = system if system is not None else resolve_system("binom:1/2")
-
-    constants = compute_constants(sys, abs(a), b, t=Fraction(2), m=1, config=config,
-                                  digits=digits, allow_desk_scale=True)
+    sys = resolve_system("binom:1/2")
+    digits = 48
+    constants = compute_constants(sys, abs(a), b, t=Fraction(2), m=1, digits=digits,
+                                  allow_desk_scale=True)
 
     # N_d = (c1 c(d))^{c2/2} with c(d) = 2 sqrt(d) + 1
     def threshold(dg: int) -> IntervalReal:
-        cd = sqrt_enclosure(d, dg) * 2 + 1
+        cd = frac_nth_root(d, 2, dg) * 2 + 1
         log_Nd = (log_epower(constants.c1_sym, dg)
                   + log_interval(cd, dg)) * Fraction(constants.c2, 2)
         return exp_interval(log_Nd, dg)
 
-    alpha_ge_Nd, N_d = decide(threshold, lambda N_d: N_d.le(conv.alpha), digits)
-    if alpha_ge_Nd is None:
-        raise InsufficientPrecisionError("threshold comparison undecided at precision cap")
+    alpha_ge_Nd, N_d = settle(threshold, lambda N_d: N_d.le(conv.alpha), digits,
+                              "threshold comparison")
 
     m_threshold = (constants.c3 * log_frac(Fraction(b), digits)
                    / log_frac(Fraction(1 + v * abs(a)), digits))
 
     # identity sqrt(1 - a/b) * alpha/beta = sqrt(d): 1 - a/b is an exact rational
-    width_digits = max(digits, 32)
-    lhs = frac_nth_root(1 - Fraction(a, b), 2, width_digits) * Fraction(conv.alpha, conv.beta)
-    diff = lhs - sqrt_enclosure(d, width_digits)
+    lhs = frac_nth_root(1 - Fraction(a, b), 2, digits) * Fraction(conv.alpha, conv.beta)
+    diff = lhs - frac_nth_root(d, 2, digits)
     if not (diff.lo <= 0 <= diff.hi):
         raise InternalCertificateError("square-root identity enclosures disjoint")
     identity_width = diff.width
@@ -206,7 +189,7 @@ def reduce_to_theorem1(conv: QuadConvergent, d: Fraction,
     z = Fraction(a, b)
     if sys.C * abs(z) < 1:
         sv = eval_certified(sys, sys.N, z, Fraction(1, 10 ** 24))
-        diff2 = sv * Fraction(conv.alpha, conv.beta) - sqrt_enclosure(d, 30)
+        diff2 = sv * Fraction(conv.alpha, conv.beta) - frac_nth_root(d, 2, 30)
         if not (diff2.lo <= 0 <= diff2.hi):
             raise InternalCertificateError("series evaluation disagrees with exact square root")
         series_checked = True
@@ -246,7 +229,7 @@ class Theorem5Report:
 
 
 def theorem5_scan(d: Fraction, conv: QuadConvergent, m_range: tuple[int, int],
-                  denominator_choice: str = "alpha", digits: int = 32) -> Theorem5Report:
+                  denominator_choice: str = "alpha") -> Theorem5Report:
     """Nearest-integer distances |sqrt(d) - n/den^m| over a range of m."""
     d = Fraction(d)
     _split_rational(d)
@@ -269,12 +252,10 @@ def theorem5_scan(d: Fraction, conv: QuadConvergent, m_range: tuple[int, int],
             dist = abs(root - Fraction(n, scale))
             return (n, dist) if dist.lo > 0 else None
 
-        found, _ = decide(lambda dg: sqrt_enclosure(d, dg), nearest, digits)
-        if found is None:
-            raise InsufficientPrecisionError(f"nearest integer at m={m} undecided at precision cap")
-        n, dist = found
+        (n, dist), _ = settle(lambda dg: frac_nth_root(d, 2, dg), nearest, 32,
+                              f"nearest integer at m={m}")
         # dist >= 1/(eta den)^m  <=>  eta >= dist^{-1/m} / den
-        eta_hi = frac_pow(1 / dist.lo, Fraction(1, m), digits).hi / den
+        eta_hi = frac_pow(1 / dist.lo, Fraction(1, m), 32).hi / den
         rows.append(ScanRow(m=m, n=n, distance=dist, eta_req=eta_hi))
     return Theorem5Report(d=d, denominator_choice=denominator_choice, den=den,
                           m_range=(m_lo, m_hi), rows=rows)

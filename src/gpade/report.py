@@ -32,10 +32,6 @@ def fmt_fraction(f: Union[Fraction, int]) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def fmt_interval(iv: IntervalReal, decimals: int = 12) -> str:
     return f"[{fmt_fraction(iv.lo)}, {fmt_fraction(iv.hi)}] ~ {iv.decimal_str(decimals)}"
 
@@ -45,7 +41,7 @@ def parse_interval(s: str) -> IntervalReal:
     if not (body.startswith("[") and body.endswith("]")):
         raise PreconditionError(f"not an interval: {s!r}")
     lo, hi = body[1:-1].split(",")
-    return IntervalReal(parse_fraction(lo), parse_fraction(hi))
+    return IntervalReal(Fraction(lo), Fraction(hi))
 
 
 def fmt_poly(p: Poly) -> str:
@@ -57,12 +53,6 @@ def fmt_poly(p: Poly) -> str:
 
 def fmt_bool(b: bool) -> str:
     return "true" if b else "false"
-
-
-def fmt_tristate(b: Optional[bool]) -> str:
-    if b is None:
-        return STATUS_INDETERMINATE
-    return fmt_bool(b)
 
 
 def fmt_sym(sym: tuple[Fraction, Fraction]) -> str:
@@ -90,11 +80,9 @@ def format_value(v) -> str:
 class ReportWriter:
     """Accumulates records; `render` yields the canonical text form."""
 
-    def __init__(self, command: str, precision: Optional[int] = None):
+    def __init__(self, command: str, precision: int):
         self._lines: list[str] = [f"gpade-report: {FORMAT_VERSION}",
-                                  f"command: {command}"]
-        if precision is not None:
-            self._lines.append(f"precision: {precision}")
+                                  f"command: {command}", f"precision: {precision}"]
         self._statuses: list[str] = []
 
     def kv(self, key: str, value) -> None:

@@ -19,8 +19,8 @@ from itertools import accumulate
 from operator import truediv
 from typing import Union
 
-from .errors import InsufficientPrecisionError, PreconditionError
-from .intervals import IntervalReal, _decimal_digits, _frac, decide
+from .errors import PreconditionError
+from .intervals import IntervalReal, _decimal_digits, _frac, settle
 from .polynomial import power_sum
 
 Scalar = Union[int, Fraction]
@@ -137,10 +137,8 @@ def le_epower(value: Scalar, sym: EPower, power: int, digits: int) -> bool:
     """Decide value <= (coef * e^e_exp)^power by escalating enclosures: exactly at the
     first call when e_exp = 0, else against a transcendental that never equals value."""
     coef, e_exp = sym
-    le, _ = decide(lambda dg: (coef ** power) * exp_frac(e_exp * power, dg),
-                   lambda iv: iv.ge(value), digits)
-    if le is None:
-        raise InsufficientPrecisionError("closed-form comparison undecided at precision cap")
+    le, _ = settle(lambda dg: (coef ** power) * exp_frac(e_exp * power, dg),
+                   lambda iv: iv.ge(value), digits, "closed-form comparison")
     return le
 
 

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .catalog import GFunctionSystem
-from .constants import ConstantsConfig, ConstantsReport, compute_constants
+from .constants import ConstantsReport, compute_constants
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
-from .errors import (InsufficientPrecisionError, InternalCertificateError,
-                     NoConvergentTailBound, PreconditionError)
-from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, width_digits
+from .errors import InternalCertificateError, NoConvergentTailBound, PreconditionError
+from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, settle, width_digits
 from .pade import build_approximant
 from .polynomial import power_sum
 from .report import TRISTATE_STATUS
@@ -185,8 +184,7 @@ def _ceil_log(B: int, b: int) -> int:
 
 
 def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
-                    config: Optional[ConstantsConfig] = None, j: Optional[int] = None,
-                    digits: int = 64,
+                    j: Optional[int] = None, digits: int = 64,
                     pqh: Optional[tuple[int, int, int]] = None) -> VerifyReport:
     """Certify |F_j(a/b) - n/(B b^m)| >= 1/(B b^m (|a|+1)^{c4 m}).
 
@@ -205,7 +203,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     ab = Fraction(aa, b)
 
     t = _ceil_log(B, b)
-    constants = compute_constants(work_sys, aa, b, Fraction(t), m, config,
+    constants = compute_constants(work_sys, aa, b, Fraction(t), m,
                                   digits=max(digits, 64), allow_desk_scale=True)
     hyp_ok = constants.hyp_b_ok and not constants.desk_scale
 
@@ -277,30 +275,22 @@ def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
 def scan_nearest(sys: GFunctionSystem, a: int, b: int, B: int, m: int,
                  j: Optional[int] = None) -> int:
     """Nearest integer to B b^m F_j(a/b); exact half-ties round to even."""
+    if b < 2:
+        raise PreconditionError("need b >= 2")
     j = sys.N if j is None else j
     work_sys, aa = sys.sign_reduced(a)
     value = value_producer(work_sys, j, Fraction(aa, b))
     scale = B * b ** m
-    nearest, _ = decide(lambda dg: value.enclosure(dg) * scale, _settled_nearest, 16)
-    if nearest is None:
-        raise InsufficientPrecisionError("nearest integer undecided at precision cap")
+    nearest, _ = settle(lambda dg: value.enclosure(dg) * scale, _settled_nearest, 16,
+                        "nearest integer")
     return nearest
 
 
 def _settled_nearest(iv: IntervalReal) -> Optional[int]:
-    """The nearest integer of every point of `iv` when they all share it, else None."""
-    n = _round_half_even(iv.lo)
-    return n if n == _round_half_even(iv.hi) else None
-
-
-def _round_half_even(x: Fraction) -> int:
-    fl = x.numerator // x.denominator
-    frac2 = 2 * (x - fl)
-    if frac2 < 1:
-        return fl
-    if frac2 > 1:
-        return fl + 1
-    return fl if fl % 2 == 0 else fl + 1
+    """The nearest integer of every point of `iv` when they all share it, else None;
+    round() of a Fraction rounds exact halves to even."""
+    n = round(iv.lo)
+    return n if n == round(iv.hi) else None
 
 
 @dataclass
@@ -314,8 +304,8 @@ class CorollaryReport:
 
 
 def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
-                          eps: Scalar, config: Optional[ConstantsConfig] = None,
-                          j: Optional[int] = None, digits: int = 64) -> CorollaryReport:
+                          eps: Scalar, j: Optional[int] = None,
+                          digits: int = 64) -> CorollaryReport:
     """Certify the simpler bound |F(a/b) - n/(B b^m)| >= 1/b^{m(1+eps)}.
 
     Hypothesis flags are reported (they fail at desk scale); the bound itself
@@ -327,7 +317,7 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
     j = sys.N if j is None else j
     work_sys, aa = sys.sign_reduced(a)
     t = _ceil_log(B, b)
-    constants = compute_constants(work_sys, aa, b, Fraction(t), m, config,
+    constants = compute_constants(work_sys, aa, b, Fraction(t), m,
                                   digits=digits, allow_desk_scale=True)
     # b > (|a|+1)^{2 c4 / eps}: compare log b against (2 c4 / eps) log(|a|+1)
     logb = log_frac(Fraction(b), digits)

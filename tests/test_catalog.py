@@ -16,6 +16,7 @@ def test_log1m_coefficients(log1m):
     assert log1m.denominator(6) == 60        # lcm(1..6)
     assert log1m.D_poly == Poly([1, -1])
     assert log1m.d == 1
+    assert log1m.CD_sym() == (Fraction(1), Fraction(1))
 
 
 def test_polylog2_coefficients(polylog2):
@@ -159,16 +160,6 @@ def test_parse_system_requires_family():
         parse_system("family log1m\nbogus 1\n")
 
 
-def test_Dgrowth_materialization(log1m, binom_half):
-    iv = log1m.Dgrowth(20)
-    # symbolic e^1: must overlap a 24-digit bracket of e
-    e_bracket = (Fraction("2.718281828459045235360287"),
-                 Fraction("2.718281828459045235360288"))
-    assert iv.lo <= e_bracket[1] and e_bracket[0] <= iv.hi
-    assert iv.width <= Fraction(1, 10**19)
-    assert binom_half.Dgrowth(20).lo == Fraction(31, 8)
-    cd = log1m.CD_sym()
-    assert cd == (Fraction(1), Fraction(1))
 
 
 def test_component_index_checked(log1m):

@@ -336,6 +336,29 @@ def test_max_precision_caps_every_decision(capsys):
     assert "precision cap must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["digits", "--system", "log1m", "--a", "1", "--b", "0"],
+    ["verify", "--system", "log1m", "--a", "1", "--b", "0", "--B", "1", "--m", "1",
+     "--scan-nearest"],
+], ids=["digits", "verify-scan-nearest"])
+def test_base_below_two_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("gpade: error:")
+
+
+def test_foreign_exception_exits_3_with_one_line(capsys, monkeypatch):
+    import gpade.cli
+
+    def broken(args, echo):
+        raise RuntimeError("not a gpade error")
+
+    monkeypatch.setattr(gpade.cli, "cmd_sqrt", broken)
+    assert main(["sqrt", "--d", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gpade: internal error: RuntimeError: not a gpade error\n"
+
+
 def test_suite_counts_undecided_block_cells_apart(capsys, monkeypatch):
     import dataclasses
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gpade import (
@@ -13,6 +14,7 @@ from gpade import (
     exp_frac,
     frac_pow,
     iterate,
+    resolve_system,
 )
 from gpade.catalog import builtin, verify_growth
 from gpade.constants import _floor_certified
@@ -168,6 +170,26 @@ def test_height_bound_dominates_iterates(log1m, polylog2):
         for k in range(3):
             bound = bound_height_Qk(base, sys, k)
             assert fam.Qk[k].height() <= bound
+
+
+@pytest.mark.parametrize("spec, pqh", [("log1m", (4, 3, 2)), ("polylog2", (6, 4, 2)),
+                                       ("binom:1/2", (5, 3, 2)), ("polylog2", (4, 3, 0))])
+def test_height_bound_is_tight(spec, pqh):
+    # within 10^-20 of 2^{2q+(d-1)k+1} H^k (q (CD)^{p+h+1})^{Nh/(q+1-Nh)} and never below it
+    sys = resolve_system(spec)
+    p, q, h = pqh
+    approx = build_approximant(sys, p, q, h)
+    coef, e_exp = sys.CD_sym()
+    Nh = sys.N * h
+    with mpmath.workdps(60):
+        def mp(f):
+            return mpmath.mpf(f.numerator) / f.denominator
+        cd = mp(coef) * mpmath.exp(mp(e_exp))
+        siegel = (q * cd ** (p + h + 1)) ** (mpmath.mpf(Nh) / (q + 1 - Nh))
+        for k in range(3):
+            exact = 2 ** (2 * q + (sys.d - 1) * k + 1) * mp(sys.D_poly.height()) ** k * siegel
+            bound = mp(bound_height_Qk(approx, sys, k))
+            assert exact <= bound <= exact * (1 + mpmath.mpf(10) ** -20), (spec, pqh, k)
 
 
 def test_remainder_bound_preconditions(log1m):

@@ -180,8 +180,8 @@ def test_profile_with_expansion_retries():
 
 
 def test_profile_with_expansion_cap_on_periodic_value():
-    with pytest.raises(InsufficientDigitsError):
-        profile_with_expansion(Fraction(1, 3), 10, 1, (1, 3), max_count=256)
+    with precision_cap(256), pytest.raises(InsufficientDigitsError):
+        profile_with_expansion(Fraction(1, 3), 10, 1, (1, 3))
 
 
 def test_theorem2_bound_check_report(polylog2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
 from gpade.intervals import (DEFAULT_DIGIT_CAP, PRECISION_CAP, _decimal_digits, decide,
-                             precision_cap, round_down, round_up)
+                             precision_cap, round_down, round_up, settle)
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 
@@ -248,6 +248,21 @@ def test_decide_clamps_to_the_cap_and_never_exceeds_it():
     assert calls == [24, 48, 96, 100, 100]
     # a verdict of False or 0 is a decision, not an undecided None
     assert decide(lambda d: 0, lambda r: r, 1) == (0, 0)
+
+
+def test_settle_returns_the_decision_or_raises_at_the_cap():
+    def produce(d):
+        return d
+
+    def verdict(d):
+        return "done" if d >= 40 else None
+
+    with precision_cap(100):
+        assert settle(produce, verdict, 5, "x") == decide(produce, verdict, 5) == ("done", 40)
+        assert settle(lambda d: 0, lambda r: r, 1, "zero") == (0, 0)
+        with pytest.raises(InsufficientPrecisionError,
+                           match=r"^the answer undecided at precision cap 100$"):
+            settle(produce, lambda d: None, 24, "the answer")
 
 
 def test_precision_cap_scopes_and_validates():

@@ -36,3 +36,30 @@ def test_every_import_is_used():
     root = Path(__file__).resolve().parent.parent
     files = sorted((root / "src" / "gpade").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     assert [u for path in files for u in _unused_imports(path)] == []
+
+
+def test_benchmark_contract_holds(monkeypatch):
+    """perfbench's traced names resolve, and its first job of each kind runs and checks."""
+    import importlib
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # perfbench/ stays as committed
+    spans, workloads, checks = (importlib.import_module(m) for m in ("spans", "workloads", "checks"))
+    for module, attr in spans.TRACED:
+        obj = importlib.import_module(f"gpade.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+
+    systems = {name: gpade.resolve_system(name) for name in workloads.SYSTEMS["deep"]}
+    first: dict = {}
+    for spec in workloads.make_jobs("shapes", 1)[:1] + workloads.make_jobs("deep", 1):
+        first.setdefault(spec[0] if spec[0] in ("digits", "log", "exp", "constants")
+                         else "shape", spec)
+    assert sorted(first) == ["constants", "digits", "exp", "log", "shape"]
+    for spec in first.values():
+        out = workloads.run_job(spec, systems)
+        assert checks.certified(spec, out), spec
+        assert checks.check(spec, out) is None, spec

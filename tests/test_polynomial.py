@@ -29,7 +29,7 @@ def test_degree_valuation_height():
 
 
 def test_constant_and_monomial():
-    assert Poly.constant(7).coeffs == (7,)
+    assert Poly([7]).coeffs == (7,)
     m = Poly([0, 0, 3])       # 3 z^2
     assert m.degree() == m.valuation() == 2
 

@@ -5,16 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpade import (
+    IntervalReal,
     QuadConvergent,
     cf_sqrt,
     convergent_gap_check,
+    frac_nth_root,
     pell_bound_check,
     reduce_to_theorem1,
     theorem5_scan,
 )
 from gpade.errors import PreconditionError
-from gpade.quadratic import sqrt_enclosure
-from gpade.verify import _round_half_even
+from gpade.verify import _settled_nearest
 
 
 def test_cf_sqrt2():
@@ -163,14 +164,13 @@ def test_theorem5_scan_validation():
 
 
 def test_round_nearest_ties_even():
-    # theorem5_scan rounds with verify's _round_half_even
-    assert _round_half_even(Fraction(5, 2)) == 2
-    assert _round_half_even(Fraction(7, 2)) == 4
-    assert _round_half_even(Fraction(9, 4)) == 2
-    assert _round_half_even(Fraction(-5, 2)) == -2
+    # theorem5_scan rounds with verify's _settled_nearest
+    for x, n in [(Fraction(5, 2), 2), (Fraction(7, 2), 4), (Fraction(9, 4), 2),
+                 (Fraction(-5, 2), -2)]:
+        assert _settled_nearest(IntervalReal.point(x)) == n
 
 
 def test_sqrt_enclosure_brackets():
-    iv = sqrt_enclosure(Fraction(2), 30)
+    iv = frac_nth_root(Fraction(2), 2, 30)
     assert iv.lo ** 2 < 2 < iv.hi ** 2
     assert iv.width <= Fraction(1, 10**30)

@@ -20,7 +20,7 @@ from gpade import (
 from gpade.pade import build_approximant
 from gpade.errors import NoConvergentTailBound, PreconditionError
 from gpade.intervals import width_digits
-from gpade.verify import _round_half_even
+from gpade.verify import _settled_nearest
 
 mpmath.mp.dps = 50
 
@@ -62,12 +62,9 @@ def test_value_producer_caches(log1m):
 
 
 def test_round_half_even():
-    assert _round_half_even(Fraction(5, 2)) == 2
-    assert _round_half_even(Fraction(7, 2)) == 4
-    assert _round_half_even(Fraction(-1, 2)) == 0
-    assert _round_half_even(Fraction(-3, 2)) == -2
-    assert _round_half_even(Fraction(11, 10)) == 1
-    assert _round_half_even(Fraction(19, 10)) == 2
+    for x, n in [(Fraction(5, 2), 2), (Fraction(7, 2), 4), (Fraction(-1, 2), 0),
+                 (Fraction(-3, 2), -2), (Fraction(11, 10), 1), (Fraction(19, 10), 2)]:
+        assert _settled_nearest(IntervalReal.point(x)) == n
 
 
 def test_scan_nearest_values(log1m, polylog2):
