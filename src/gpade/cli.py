@@ -2,9 +2,9 @@
 
 Every subcommand writes a deterministic line-oriented report (see report.py)
 to stdout or --out.  Exit codes: 0 when no check is violated, 1 when some
-check has status violated, 2 for usage or domain errors (any other GpadeError),
-3 when an internal certificate fails (two independent computations disagreed)
-or on any other exception, which prints the one line
+check has status violated, 2 for usage or domain errors (any other GpadeError,
+or an unwritable --out), 3 when an internal certificate fails (two independent
+computations disagreed) or on any other exception, which prints the one line
 `gpade: internal error: <Type>: <message>` instead of a traceback.
 """
 
@@ -482,8 +482,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             writer = args.handler(args, " ".join([str(a) for a in argv]))
         text = writer.render()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise PreconditionError(f"cannot write --out {args.out}: {e.strerror or e}") from e
         else:
             sys.stdout.write(text)
     except (InternalCertificateError, DivisibilityError, KernelVectorError,

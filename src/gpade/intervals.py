@@ -144,8 +144,13 @@ class IntervalReal:
 
     def __mul__(self, other) -> "IntervalReal":
         other = self._coerce(other)
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
+        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        # by signs: a point or two nonnegative operands need two products, no min/max
+        if olo == ohi:
+            return IntervalReal(lo * olo, hi * olo) if olo >= 0 else IntervalReal(hi * olo, lo * olo)
+        if lo >= 0 and olo >= 0:
+            return IntervalReal(lo * olo, hi * ohi)
+        products = (lo * olo, lo * ohi, hi * olo, hi * ohi)
         return IntervalReal(min(products), max(products))
 
     __rmul__ = __mul__
@@ -177,10 +182,11 @@ class IntervalReal:
                 result = result * base
                 if sig is not None:
                     result = result.round_sig(sig)
-            base = base * base
-            if sig is not None:
-                base = base.round_sig(sig)
             k >>= 1
+            if k:
+                base = base * base
+                if sig is not None:
+                    base = base.round_sig(sig)
         return result
 
     @staticmethod
@@ -364,10 +370,10 @@ class CertifiedReal:
 
 
 def width_digits(width: Fraction) -> int:
-    """Smallest d >= 0 with 10^-d <= width: the decimal digits that reach `width`."""
-    d = 0
-    w = Fraction(1)
-    while w > width:
-        w /= 10
-        d += 1
-    return d
+    """Smallest d >= 0 with 10^-d <= width: the decimal digits that reach `width`.
+    It is D(den) - D(num) or one more (D = decimal digit count), clamped at 0."""
+    num, den = width.numerator, width.denominator
+    if num <= 0:
+        raise PreconditionError("width must be positive")
+    d = max(0, _decimal_digits(den) - _decimal_digits(num))
+    return d if 10 ** d * num >= den else d + 1

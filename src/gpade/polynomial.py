@@ -4,7 +4,8 @@ Everything here is exact, and no floating point enters any code path.  A
 `Poly` is integer numerators over one positive common denominator, so its
 arithmetic works on ints and normalizes once per result; its `coeffs` is a
 read-only `fractions.Fraction` view.  `power_sum` is the one series kernel:
-`Poly` evaluation, F_j(z), exp and atanh all sum with it.  `truncated_product`
+`Poly` evaluation, F_j(z), exp and atanh all sum with it, and it adds a long
+series by binary splitting.  `truncated_product`
 is the one product of a `Poly` with a power series known to a finite order; a
 series is just its list of known (int or Fraction) coefficients.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .errors import PreconditionError
@@ -22,15 +24,29 @@ Scalar = Union[int, Fraction]
 
 def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> Fraction:
     """Exact sum of c_i z^i, z = a/b, as s / (den b^n) with den = lcm of the c_i's
-    denominators: integers only, normalized once."""
+    denominators and n the last index: integers only, normalized once.  Runs of
+    32 terms are summed by one loop, and runs of equal length are merged as they
+    come (binary splitting): a long sum multiplies balanced sizes, keeps no list."""
     a, b = z.numerator, z.denominator
-    s, den, apow, n = 0, 1, 1, 0
-    for n, c in enumerate(coeffs):
-        g = c.denominator // math.gcd(den, c.denominator)
-        s = s * b * g + c.numerator * (den * g // c.denominator) * apow
-        den *= g
-        apow *= a
-    return Fraction(s, den * b ** n)
+    runs: list[tuple[int, int, int]] = []   # (s, den, m): m terms sum to s / (den b^(m-1))
+    it = iter(coeffs)
+    while True:
+        s, den, apow, run = 0, 1, 1, list(islice(it, 32))
+        for c in run:
+            g = c.denominator // math.gcd(den, c.denominator)
+            s = s * b * g + c.numerator * (den * g // c.denominator) * apow
+            den *= g
+            apow *= a
+        if run:
+            runs.append((s, den, len(run)))
+        # the later run is scaled by (a/b)^(length of the earlier one); all merge at the end
+        while len(runs) > 1 and (not run or runs[-2][2] == runs[-1][2]):
+            (sr, dr, mr), (sl, dl, ml) = runs.pop(), runs.pop()
+            g = math.gcd(dl, dr)
+            runs.append((sl * (dr // g) * b ** mr + sr * (dl // g) * a ** ml, dl // g * dr, ml + mr))
+        if not run:
+            s, den, m = runs[0] if runs else (0, 1, 1)
+            return Fraction(s, den * b ** (m - 1))
 
 
 class Poly:

@@ -1,8 +1,8 @@
 """Certified enclosures for exp and log, from exact rational series.
 
 Each function returns an IntervalReal whose endpoints are exact rationals on a
-decimal grid.  A series sums exactly, by polynomial.power_sum, through the
-first K >= 1 whose tail is at most 10^-(digits+1); the tail bounds are:
+decimal grid.  A series sums exactly, by binary splitting in polynomial.power_sum,
+through the first K >= 1 whose tail is at most 10^-(digits+1); the tail bounds are:
 
   exp(x), 0 <= x <= 1:   sum_{i>K} x^i/i! <= 2 x^{K+1}/(K+1)!
   atanh(u), |u| <= 1/2:  sum_{i>K} u^{2i+1}/(2i+1) <= |u|^{2K+3}/((2K+3)(1-u^2))

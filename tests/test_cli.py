@@ -346,6 +346,16 @@ def test_base_below_two_exits_2(capsys, argv):
     assert capsys.readouterr().err.startswith("gpade: error:")
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["build", "--system", "log1m", "--p", "3", "--q", "2", "--h", "1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gpade: error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_foreign_exception_exits_3_with_one_line(capsys, monkeypatch):
     import gpade.cli
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
 from gpade.intervals import (DEFAULT_DIGIT_CAP, PRECISION_CAP, _decimal_digits, decide,
-                             precision_cap, round_down, round_up, settle)
+                             precision_cap, round_down, round_up, settle,
+                             width_digits)
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 
@@ -113,6 +114,87 @@ def test_pow_int_encloses_midpoint_power(iv, k):
 @settings(max_examples=100)
 def test_round_sig_contains(iv, sig):
     assert iv in iv.round_sig(sig)
+
+
+def _four_product_mul(x, y):
+    """The interval product that multiplication by signs replaced, kept as the reference."""
+    products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return IntervalReal(min(products), max(products))
+
+
+# every sign pattern: points (negative, zero, positive), zero endpoints, straddling
+SIGN_PATTERNS = [IntervalReal.point(Fraction(-3, 2)), IntervalReal.point(0),
+                 IntervalReal.point(Fraction(5, 7)), IntervalReal(0, 2), IntervalReal(-2, 0),
+                 IntervalReal(Fraction(1, 3), 4), IntervalReal(-4, Fraction(-1, 3)),
+                 IntervalReal(-1, Fraction(5, 2)), IntervalReal(Fraction(-5, 2), 1)]
+
+
+@pytest.mark.parametrize("a", SIGN_PATTERNS)
+@pytest.mark.parametrize("b", SIGN_PATTERNS)
+def test_mul_equals_four_products_by_sign_pattern(a, b):
+    expected = _four_product_mul(a, b)
+    assert a * b == expected
+    if b.lo == b.hi:
+        assert a * b.lo == expected and b.lo * a == expected
+
+
+@given(st.one_of(intervals(), fractions.map(IntervalReal.point)),
+       st.one_of(intervals(), fractions.map(IntervalReal.point)))
+@settings(max_examples=200)
+def test_mul_equals_four_products(a, b):
+    assert a * b == _four_product_mul(a, b)
+
+
+def _width_digits_loop(width):
+    """The Fraction loop that the integer `width_digits` replaced, kept as the reference."""
+    d, w = 0, Fraction(1)
+    while w > width:
+        w /= 10
+        d += 1
+    return d
+
+
+@given(st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**60)))
+@settings(max_examples=200)
+def test_width_digits_equals_the_loop(width):
+    assert width_digits(width) == _width_digits_loop(width)
+
+
+def test_width_digits_at_powers_of_ten_and_extremes():
+    for k in range(0, 60):
+        for w in (Fraction(1, 10**k), Fraction(1, 10**k) + Fraction(1, 10**(k + 70)),
+                  Fraction(1, 10**k) - Fraction(1, 10**(k + 70)), Fraction(10**k)):
+            assert width_digits(w) == _width_digits_loop(w)
+    for w in (Fraction(1), Fraction(7, 2), Fraction(10**30, 3)):
+        assert width_digits(w) == 0
+    assert width_digits(Fraction(1, 10**3000)) == _width_digits_loop(Fraction(1, 10**3000)) == 3000
+    with pytest.raises(PreconditionError):
+        width_digits(Fraction(0))
+
+
+def _pow_int_loop(iv, k, sig=None):
+    """The `pow_int` loop that also squared once past the top bit of k, kept as the reference."""
+    result, base = IntervalReal.point(1), iv
+    while k:
+        if k & 1:
+            result = _four_product_mul(result, base)
+            if sig is not None:
+                result = result.round_sig(sig)
+        base = _four_product_mul(base, base)
+        if sig is not None:
+            base = base.round_sig(sig)
+        k >>= 1
+    return result
+
+
+@pytest.mark.parametrize("sig", [None, 6])
+@pytest.mark.parametrize("iv", [IntervalReal(Fraction(3, 2), Fraction(8, 5)),
+                                IntervalReal(Fraction(-7, 5), Fraction(-4, 3)),
+                                IntervalReal(Fraction(-1, 2), Fraction(2, 3)),
+                                IntervalReal.point(Fraction(-5, 3)), IntervalReal(0, Fraction(9, 7))])
+def test_pow_int_equals_the_loop(iv, sig):
+    for k in range(41):
+        assert iv.pow_int(k, sig) == _pow_int_loop(iv, k, sig)
 
 
 def test_decimal_digits_matches_str():

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -156,6 +157,51 @@ def test_poly_eval_equals_horner(coeffs, z):
     # the kernel consumes any iterator, trailing zeros included
     assert power_sum(iter(coeffs), z) == _horner(coeffs, z)
     assert p(z.numerator) == _horner(p.coeffs, Fraction(z.numerator))
+
+
+def _sequential_power_sum(coeffs, z):
+    """The one-loop `power_sum` that summation by halves replaced, kept as the
+    reference: one growing product per term."""
+    a, b = z.numerator, z.denominator
+    s, den, apow, n = 0, 1, 1, 0
+    for n, c in enumerate(coeffs):
+        g = c.denominator // math.gcd(den, c.denominator)
+        s = s * b * g + c.numerator * (den * g // c.denominator) * apow
+        den *= g
+        apow *= a
+    return Fraction(s, den * b ** n)
+
+
+sum_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6), fractions,
+                        st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+
+
+# lengths 0..200: 33, 64 and over 128 terms cross the 32-term run and several merges
+@given(st.integers(0, 200).flatmap(lambda n: st.lists(sum_entries, min_size=n, max_size=n)),
+       st.one_of(st.just(Fraction(0)), st.integers(-5, 5),
+                 st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))))
+@example([Fraction(1, k) for k in range(1, 34)], Fraction(-2, 3))
+@example(list(range(64)), Fraction(1, 7))
+@example([Fraction(1, 2 * k + 1) for k in range(129)], Fraction(-3, 5))
+@example([0] * 150, Fraction(5, 3))
+@example([1] + [0] * 199, Fraction(0))
+@example([Fraction(3, 4)] * 33, 0)
+@settings(max_examples=100, deadline=None)
+def test_power_sum_equals_the_sequential_loop(coeffs, z):
+    expected = _sequential_power_sum(coeffs, z)
+    assert power_sum(coeffs, z) == expected
+    assert power_sum(iter(coeffs), z) == expected
+
+
+def test_power_sum_leaves_no_cyclic_garbage():
+    # a reference cycle (a self-calling closure, say) would keep the big powers alive
+    gc.collect()
+    gc.disable()
+    try:
+        power_sum([Fraction(1, 2 * k + 1) for k in range(500)], Fraction(543, 4147))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class RefPoly:
