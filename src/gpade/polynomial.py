@@ -28,7 +28,8 @@ def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> Fraction:
     32 terms are summed by one loop, and runs of equal length are merged as they
     come (binary splitting): a long sum multiplies balanced sizes, keeps no list."""
     a, b = z.numerator, z.denominator
-    runs: list[tuple[int, int, int]] = []   # (s, den, m): m terms sum to s / (den b^(m-1))
+    # (s, den, m): m consecutive terms, over z^(index of the first), sum to s / (den b^(m-1))
+    runs: list[tuple[int, int, int]] = []
     it = iter(coeffs)
     while True:
         s, den, apow, run = 0, 1, 1, list(islice(it, 32))
