@@ -1,16 +1,14 @@
 """The acceptance suite: the paper's chain checked end to end, in one place.
 
-`run_suite` returns one SuiteRecord per check, whose status follows from its
-failed and undecided keys alone.  `gpade suite` renders the records, and the
-acceptance tests assert on them.
+`run_suite` returns one report `Record` per check, whose status follows from
+its fields by the one rule of `Record.add`.  `gpade suite` renders the
+records, and the acceptance tests assert on them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .catalog import GFunctionSystem, resolve_system
 from .constants import bound_height_Qk, bound_remainder, compute_constants
@@ -19,7 +17,7 @@ from .digits import expand_digits, theorem2_convergent
 from .intervals import decide, frac_pow
 from .pade import build_approximant
 from .quadratic import cf_sqrt, pell_bound_check, reduce_to_theorem1
-from .report import STATUS_CERTIFIED, STATUS_INDETERMINATE, STATUS_VIOLATED, fmt_sym
+from .report import Record, fmt_sym
 from .verify import value_producer, verify_theorem1
 
 # (system-arg, N) of the grid systems
@@ -56,29 +54,7 @@ CHAIN_INSTANCES: list[tuple[str, int, int, int, int, int, int, int, int]] = [
 LI2_DIGITS_50 = "10261779109939113111383736905723221370568993941926"
 
 
-@dataclass
-class SuiteRecord:
-    """One suite record: ordered fields, and the keys that failed or are undecided."""
-    kind: str
-    fields: dict = field(default_factory=dict)
-    failed: list[str] = field(default_factory=list)
-    undecided: list[str] = field(default_factory=list)
-
-    def add(self, key: str, value, ok: Optional[bool] = True) -> None:
-        """Append a field; ok=False marks the key failed, ok=None undecided."""
-        self.fields[key] = value
-        if ok is False:
-            self.failed.append(key)
-        elif ok is None:
-            self.undecided.append(key)
-
-    @property
-    def status(self) -> str:
-        return (STATUS_VIOLATED if self.failed
-                else STATUS_INDETERMINATE if self.undecided else STATUS_CERTIFIED)
-
-
-def run_suite(quick: bool, precision: int) -> list[SuiteRecord]:
+def run_suite(quick: bool, precision: int) -> list[Record]:
     """Every suite record, in report order; `quick` shrinks each check."""
     systems = {arg: resolve_system(arg) for arg, _ in GRID_SYSTEMS}
     li2 = systems["polylog2"]
@@ -87,12 +63,12 @@ def run_suite(quick: bool, precision: int) -> list[SuiteRecord]:
             quadratic_surds(quick)]
 
 
-def li2_constants(li2: GFunctionSystem) -> SuiteRecord:
+def li2_constants(li2: GFunctionSystem) -> Record:
     """Criterion 1: the constant chain of the dilogarithm pair."""
     rep = compute_constants(li2, 1, 10, Fraction(0), 100, digits=48, allow_desk_scale=True)
     c1_match = rep.c1_sym == (Fraction(4), Fraction(66))
     below = rep.c4.lt(frac_pow(Fraction(10), Fraction(289, 50), 48).lo) is True
-    rec = SuiteRecord("suite-constants")
+    rec = Record("suite-constants")
     rec.add("c1-closed-form", fmt_sym(rep.c1_sym))
     rec.add("c1-matches-4e66", c1_match, c1_match)
     rec.add("c2", rep.c2, rep.c2 == 12)
@@ -110,7 +86,7 @@ def grid(quick: bool) -> list[tuple[str, int, int, int]]:
 
 
 def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
-              remainders: bool) -> SuiteRecord:
+              remainders: bool) -> Record:
     """Criteria 2-7: per-instance certificates, counted over the grid.
 
     The remainder bound |Q_k(z) F_j(z) - P_{j,k}(z)| <= bound is decided from
@@ -139,7 +115,7 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
         fam = iterate(approx, system, max(system.N, h // system.d))
         for cert in fam.certs[:h // system.d + 1]:
             k = cert.k
-            if not (cert.degree_ok and cert.Q_integral and cert.P_cleared and cert.order_ok):
+            if not cert.ok:
                 fail("iteration", f"iterate {at} k={k}")
             fails["height-bound"] += fam.Q(k).height() > bound_height_Qk(approx, system, k)
             for z in Z_POINTS if remainders else ():
@@ -153,10 +129,10 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
                     elif not ok:
                         fail("remainder-bound", f"remainder {at} k={k} z={z}")
         chk = zero_estimate_check(fam, system)
-        if not (chk.nonzero and chk.degree_ok and chk.vanish_order >= chk.required_vanish):
+        if not chk.ok:
             fail("zero-estimate", f"zero {at}")
 
-    rec = SuiteRecord("suite-pade-grid")
+    rec = Record("suite-pade-grid")
     rec.add("instances", len(instances))
     for key in ("order", "clearing", "siegel"):
         rec.add(f"{key}-failures", fails[key], fails[key] == 0)
@@ -170,7 +146,7 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
     return rec
 
 
-def xi_chain(systems: dict, quick: bool, precision: int) -> SuiteRecord:
+def xi_chain(systems: dict, quick: bool, precision: int) -> Record:
     """Criterion 8: the xi witness chain on the frozen property instances."""
     instances = CHAIN_INSTANCES[:3] if quick else CHAIN_INSTANCES
     failures = 0
@@ -178,13 +154,13 @@ def xi_chain(systems: dict, quick: bool, precision: int) -> SuiteRecord:
         ch = verify_theorem1(systems[arg], a, b, B, m, n, digits=precision,
                              pqh=(p, q, h)).chain
         failures += ch is None or not (ch.witness.divisible_by_bm and ch.all_certified)
-    rec = SuiteRecord("suite-xi-chain")
+    rec = Record("suite-xi-chain")
     rec.add("instances", len(instances))
     rec.add("failures", failures, failures == 0)
     return rec
 
 
-def li2_digits(li2: GFunctionSystem, quick: bool) -> list[SuiteRecord]:
+def li2_digits(li2: GFunctionSystem, quick: bool) -> list[Record]:
     """Criterion 9: Li_2(1/10) digits are stable at doubled depth and match the
     frozen prefix, and the digit-block bounds hold at every (t, n) cell."""
     n_digits = 100 if quick else 500
@@ -193,7 +169,7 @@ def li2_digits(li2: GFunctionSystem, quick: bool) -> list[SuiteRecord]:
     ds2 = expand_digits(value, 10, 2 * n_digits)
     stable = ds1.digits == ds2.digits[:n_digits]
     prefix_ok = ds1.as_str(50) == LI2_DIGITS_50
-    digits = SuiteRecord("suite-digit-stability")
+    digits = Record("suite-digit-stability")
     digits.add("digits", n_digits)
     digits.add("stable-at-doubled-depth", stable, stable)
     digits.add("prefix-matches-frozen-50", prefix_ok, prefix_ok)
@@ -208,7 +184,7 @@ def li2_digits(li2: GFunctionSystem, quick: bool) -> list[SuiteRecord]:
             provable_fail += conv.holds_relaxed is False
             strict_fail += conv.holds is False
             undecided += None in (conv.holds, conv.holds_relaxed)
-    rec = SuiteRecord("suite-block-convergents")
+    rec = Record("suite-block-convergents")
     rec.add("n-max", n_max)
     rec.add("t-values", " ".join(str(t) for t in t_list))
     rec.add("provable-bound-failures", provable_fail, provable_fail == 0)
@@ -219,7 +195,7 @@ def li2_digits(li2: GFunctionSystem, quick: bool) -> list[SuiteRecord]:
     return [digits, rec]
 
 
-def quadratic_surds(quick: bool) -> SuiteRecord:
+def quadratic_surds(quick: bool) -> Record:
     """Criterion 10: Pell bounds on the convergents of sqrt(d), and the reduction."""
     d_list = (2, 3) if quick else (2, 3, 5, 7)
     beta_cap = 10 ** 3 if quick else 10 ** 6
@@ -229,7 +205,7 @@ def quadratic_surds(quick: bool) -> SuiteRecord:
         pell_fail += sum(not pell_bound_check(c, Fraction(dv)) for c in convs)
         red = reduce_to_theorem1(convs[-1], Fraction(dv))
         pell_fail += red.identity_width > Fraction(1, 10 ** 8)
-    rec = SuiteRecord("suite-quadratic")
+    rec = Record("suite-quadratic")
     rec.add("d-values", " ".join(str(x) for x in d_list))
     rec.add("beta-cap", beta_cap)
     rec.add("pell-failures", pell_fail, pell_fail == 0)

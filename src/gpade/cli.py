@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Every subcommand writes a deterministic line-oriented report (see report.py)
-to stdout or --out.  Exit codes: 0 when no check is violated, 1 when some
-check has status violated, 2 for usage or domain errors (any other GpadeError,
-or an unwritable --out), 3 when an internal certificate fails (two independent
-computations disagreed) or on any other exception, which prints the one line
+Each subcommand returns its report records (see report.py), and `main`
+writes them as one deterministic report to stdout or --out.  Exit codes: 0
+when no record is violated, 1 when some record has status violated, 2 for
+usage or domain errors (any other GpadeError, or an unwritable --out), 3
+when an internal certificate fails (two independent computations disagreed)
+or on any other exception, which prints the one line
 `gpade: internal error: <Type>: <message>` instead of a traceback.
 """
 
@@ -15,10 +16,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .acceptance import SuiteRecord, run_suite
+from .acceptance import run_suite
 from .catalog import GFunctionSystem, resolve_system
 from .constants import ConstantsConfig, compute_constants
-from .derivation import IteratedFamily, iterate, zero_estimate_check
+from .derivation import IteratedFamily, IterationStepCert, iterate, zero_estimate_check
 from .digits import profile_with_expansion, theorem2_convergent
 from .errors import (DivisibilityError, GpadeError, InternalCertificateError, KernelVectorError,
                      PreconditionError, RankDeficiencyError)
@@ -26,9 +27,8 @@ from .intervals import DEFAULT_DIGIT_CAP, precision_cap
 from .pade import PadeApproximant, assemble, build_approximant
 from .quadratic import cf_sqrt, convergent_gap_check, pell_bound_check, \
     reduce_to_theorem1, theorem5_scan
-from .report import (STATUS_CERTIFIED, STATUS_HYPOTHESIS_UNMET, STATUS_INDETERMINATE,
-                     STATUS_VIOLATED, TRISTATE_STATUS, ReportWriter, fmt_fraction,
-                     fmt_poly, fmt_sym, parse_report)
+from .report import (STATUS_HYPOTHESIS_UNMET, STATUS_VIOLATED, Record, ReportWriter,
+                     fmt_fraction, fmt_poly, fmt_sym, parse_report)
 from .verify import scan_nearest, value_producer, verify_theorem1
 
 
@@ -56,30 +56,29 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise PreconditionError(f"range must be lo:hi, got {text!r}")
 
 
-def _emit_approximant(w: ReportWriter, system_arg: str, system: GFunctionSystem,
-                      approx: PadeApproximant) -> None:
-    w.record("approximant")
-    w.kv("system", system.name)
-    w.kv("system-arg", system_arg)
-    w.kv("N", system.N)
-    w.kv("d", system.d)
-    w.kv("p", approx.p)
-    w.kv("q", approx.q)
-    w.kv("h", approx.h)
-    w.kv("kernel-vector", " ".join(str(x) for x in approx.kernel_vector))
-    w.kv("Q", approx.Q)
+def _approximant_record(system_arg: str, system: GFunctionSystem,
+                        approx: PadeApproximant) -> Record:
+    rec = Record("approximant")
+    rec.add("system", system.name)
+    rec.add("system-arg", system_arg)
+    rec.add("N", system.N)
+    rec.add("d", system.d)
+    rec.add("p", approx.p)
+    rec.add("q", approx.q)
+    rec.add("h", approx.h)
+    rec.add("kernel-vector", " ".join(str(x) for x in approx.kernel_vector))
+    rec.add("Q", approx.Q)
     for j in range(1, system.N + 1):
-        w.kv(f"P[{j}]", approx.P[j - 1])
-    w.kv("order-target", approx.p + approx.h + 1)
+        rec.add(f"P[{j}]", approx.P[j - 1])
+    rec.add("order-target", approx.p + approx.h + 1)
     for j in range(1, system.N + 1):
-        w.kv(f"order-certified[{j}]", approx.order_certificates[j - 1])
-    w.kv("Q-integral", approx.Q.is_integral())
-    w.kv("P-cleared", approx.denominator_cleared)
-    w.kv("height-Q", approx.height_Q)
-    w.kv("siegel-bound", approx.siegel_bound)
-    w.kv("siegel-ok", approx.siegel_ok)
-    cleared = approx.Q.is_integral() and approx.denominator_cleared
-    w.status(TRISTATE_STATUS[approx.siegel_ok] if cleared else STATUS_VIOLATED)
+        rec.add(f"order-certified[{j}]", approx.order_certificates[j - 1])
+    rec.add("Q-integral", approx.Q.is_integral(), approx.Q.is_integral())
+    rec.add("P-cleared", approx.denominator_cleared, approx.denominator_cleared)
+    rec.add("height-Q", approx.height_Q)
+    rec.add("siegel-bound", approx.siegel_bound)
+    rec.add("siegel-ok", approx.siegel_ok, approx.siegel_ok)
+    return rec
 
 
 def _approx_from_artifact(path: str) -> tuple[GFunctionSystem, str, PadeApproximant]:
@@ -105,111 +104,96 @@ def _resolve_build(args) -> tuple[GFunctionSystem, str, PadeApproximant]:
     return system, args.system, build_approximant(system, args.p, args.q, args.h)
 
 
-def cmd_build(args, echo: str) -> ReportWriter:
+def cmd_build(args) -> list[Record]:
     system, system_arg, approx = _resolve_build(args)
-    w = ReportWriter(echo, args.precision)
-    _emit_approximant(w, system_arg, system, approx)
-    return w
+    return [_approximant_record(system_arg, system, approx)]
 
 
-def _emit_iteration(w: ReportWriter, system: GFunctionSystem, fam: IteratedFamily) -> None:
-    for cert in fam.certs:
-        w.record("iteration-step")
-        w.kv("k", cert.k)
-        w.kv("Q_k", fam.Q(cert.k))
-        for j in range(1, system.N + 1):
-            w.kv(f"P[{j},{cert.k}]", fam.P(j, cert.k))
-        w.kv("deg-Q_k", fam.Q(cert.k).degree())
-        w.kv("deg-bound", fam.base.q + (system.d - 1) * cert.k)
-        w.kv("degree-ok", cert.degree_ok)
-        w.kv("Q-integral", cert.Q_integral)
-        w.kv("P-cleared", cert.P_cleared)
-        w.kv("order-target", " ".join(str(x) for x in cert.order_targets))
-        w.kv("order-verified", " ".join(str(x) for x in cert.order_verified))
-        w.kv("order-ok", cert.order_ok)
-        ok = cert.degree_ok and cert.Q_integral and cert.P_cleared and cert.order_ok
-        w.status(STATUS_CERTIFIED if ok else STATUS_VIOLATED)
+def _iteration_record(system: GFunctionSystem, fam: IteratedFamily,
+                      cert: IterationStepCert) -> Record:
+    rec = Record("iteration-step")
+    rec.add("k", cert.k)
+    rec.add("Q_k", fam.Q(cert.k))
+    for j in range(1, system.N + 1):
+        rec.add(f"P[{j},{cert.k}]", fam.P(j, cert.k))
+    rec.add("deg-Q_k", fam.Q(cert.k).degree())
+    rec.add("deg-bound", fam.base.q + (system.d - 1) * cert.k)
+    rec.add("degree-ok", cert.degree_ok, cert.degree_ok)
+    rec.add("Q-integral", cert.Q_integral, cert.Q_integral)
+    rec.add("P-cleared", cert.P_cleared, cert.P_cleared)
+    rec.add("order-target", " ".join(str(x) for x in cert.order_targets))
+    rec.add("order-verified", " ".join(str(x) for x in cert.order_verified))
+    rec.add("order-ok", cert.order_ok, cert.order_ok)
+    return rec
 
 
-def cmd_iterate(args, echo: str) -> ReportWriter:
+def cmd_iterate(args) -> list[Record]:
     system, system_arg, approx = _resolve_build(args)
     fam = iterate(approx, system, args.k_max)
-    w = ReportWriter(echo, args.precision)
-    _emit_approximant(w, system_arg, system, approx)
-    _emit_iteration(w, system, fam)
-    return w
+    return [_approximant_record(system_arg, system, approx),
+            *(_iteration_record(system, fam, cert) for cert in fam.certs)]
 
 
-def cmd_zerocheck(args, echo: str) -> ReportWriter:
+def cmd_zerocheck(args) -> list[Record]:
     system, system_arg, approx = _resolve_build(args)
-    K = max(system.N, args.k_max if args.k_max is not None else 0)
-    fam = iterate(approx, system, K)
-    chk = zero_estimate_check(fam, system)
-    w = ReportWriter(echo, args.precision)
-    _emit_approximant(w, system_arg, system, approx)
-    w.record("zero-estimate")
-    w.kv("vanish-order", chk.vanish_order)
-    w.kv("required-vanish", chk.required_vanish)
-    w.kv("delta-tilde-degree", chk.DeltaTilde.degree())
-    w.kv("ell0", chk.ell0)
-    w.kv("delta-tilde", chk.DeltaTilde)
-    w.kv("nonzero", chk.nonzero)
-    w.kv("degree-ok", chk.degree_ok)
-    ok = chk.nonzero and chk.degree_ok and chk.vanish_order >= chk.required_vanish
-    w.status(STATUS_CERTIFIED if ok else STATUS_VIOLATED)
-    return w
+    chk = zero_estimate_check(iterate(approx, system, system.N), system)
+    rec = Record("zero-estimate")
+    rec.add("vanish-order", chk.vanish_order, chk.vanish_order >= chk.required_vanish)
+    rec.add("required-vanish", chk.required_vanish)
+    rec.add("delta-tilde-degree", chk.DeltaTilde.degree())
+    rec.add("ell0", chk.ell0)
+    rec.add("delta-tilde", chk.DeltaTilde)
+    rec.add("nonzero", chk.nonzero, chk.nonzero)
+    rec.add("degree-ok", chk.degree_ok, chk.degree_ok)
+    return [_approximant_record(system_arg, system, approx), rec]
 
 
-def cmd_constants(args, echo: str) -> ReportWriter:
+def cmd_constants(args) -> list[Record]:
     system = resolve_system(args.system)
     config = ConstantsConfig(h0=args.h0, h1=args.h1, h2=args.h2)
-    w = ReportWriter(echo, args.precision)
-    w.record("constants")
-    w.kv("system", system.name)
-    w.kv("a", args.a)
-    w.kv("b", args.b)
-    w.kv("t", args.t)
-    w.kv("m", args.m)
-    w.kv("h0", config.h0)
-    w.kv("h1", config.h1)
-    w.kv("h2", config.h2)
+    rec = Record("constants")
+    rec.add("system", system.name)
+    rec.add("a", args.a)
+    rec.add("b", args.b)
+    rec.add("t", args.t)
+    rec.add("m", args.m)
+    rec.add("h0", config.h0)
+    rec.add("h1", config.h1)
+    rec.add("h2", config.h2)
     rep = compute_constants(system, args.a, args.b, args.t, args.m,
                             config, digits=args.precision,
                             allow_desk_scale=not args.strict)
-    w.kv("N", rep.N)
-    w.kv("d", rep.d)
-    w.kv("chi", rep.chi)
-    w.kv("chi-closed-form", fmt_sym(rep.chi_sym))
-    w.kv("c1", rep.c1)
-    w.kv("c1-closed-form", fmt_sym(rep.c1_sym))
-    w.kv("c2", rep.c2)
-    w.kv("c3", rep.c3)
-    w.kv("c5", rep.c5)
-    w.kv("c6", rep.c6)
-    w.kv("c7", rep.c7)
-    w.kv("c8", rep.c8)
-    w.kv("c4", rep.c4)
+    rec.add("N", rep.N)
+    rec.add("d", rep.d)
+    rec.add("chi", rep.chi)
+    rec.add("chi-closed-form", fmt_sym(rep.chi_sym))
+    rec.add("c1", rep.c1)
+    rec.add("c1-closed-form", fmt_sym(rep.c1_sym))
+    rec.add("c2", rep.c2)
+    rec.add("c3", rep.c3)
+    rec.add("c5", rep.c5)
+    rec.add("c6", rep.c6)
+    rec.add("c7", rep.c7)
+    rec.add("c8", rep.c8)
+    rec.add("c4", rep.c4)
     if rep.c4_reference is not None:
-        w.kv("c4-closed-form", rep.c4_reference)
-        w.kv("c4-closed-form-agrees", not rep.c4_discrepancy)
-    w.kv("y", rep.y)
-    w.kv("x", rep.x)
-    w.kv("h", rep.h)
-    w.kv("p", rep.p)
-    w.kv("q", rep.q)
-    w.kv("beta", rep.beta)
-    w.kv("hyp-b-ok", rep.hyp_b_ok)
-    w.kv("hyp-m-ok", rep.hyp_m_ok)
-    w.kv("eqhyp", rep.eqhyp_status)
-    w.kv("desk-scale", rep.desk_scale)
-    if rep.desk_scale or not rep.hyp_b_ok or rep.hyp_m_ok is False:
-        w.status(STATUS_HYPOTHESIS_UNMET)
-    else:
-        w.status(STATUS_CERTIFIED)
-    return w
+        rec.add("c4-closed-form", rep.c4_reference)
+        rec.add("c4-closed-form-agrees", not rep.c4_discrepancy)
+    rec.add("y", rep.y)
+    rec.add("x", rep.x)
+    rec.add("h", rep.h)
+    rec.add("p", rep.p)
+    rec.add("q", rep.q)
+    rec.add("beta", rep.beta)
+    # an unmet hypothesis qualifies the chain; an undecided hyp-m-ok does not
+    rec.add("hyp-b-ok", rep.hyp_b_ok, rep.hyp_b_ok or STATUS_HYPOTHESIS_UNMET)
+    rec.add("hyp-m-ok", rep.hyp_m_ok, rep.hyp_m_ok is not False or STATUS_HYPOTHESIS_UNMET)
+    rec.add("eqhyp", rep.eqhyp_status)
+    rec.add("desk-scale", rep.desk_scale, not rep.desk_scale or STATUS_HYPOTHESIS_UNMET)
+    return [rec]
 
 
-def cmd_verify(args, echo: str) -> ReportWriter:
+def cmd_verify(args) -> list[Record]:
     system = resolve_system(args.system)
     if args.n is None and not args.scan_nearest:
         raise PreconditionError("need --n or --scan-nearest")
@@ -222,43 +206,41 @@ def cmd_verify(args, echo: str) -> ReportWriter:
         pqh = (args.p, args.q, args.h)
     rep = verify_theorem1(system, args.a, args.b, args.B, args.m, n,
                           j=args.j, digits=args.precision, pqh=pqh)
-    w = ReportWriter(echo, args.precision)
-    w.record("diophantine-bound")
-    w.kv("system", rep.system_name)
-    w.kv("a", rep.a)
-    w.kv("b", rep.b)
-    w.kv("B", rep.B)
-    w.kv("m", rep.m)
-    w.kv("n", rep.n)
-    w.kv("j", rep.j)
-    w.kv("rhs-exponent", rep.rhs_exponent)
-    w.kv("rhs", rep.rhs)
-    w.kv("lhs", rep.lhs)
-    w.kv("hypothesis-ok", rep.hypothesis_ok)
-    w.kv("c4", rep.constants.c4)
-    w.status(rep.status)
-    if rep.chain is not None:
-        ch = rep.chain
-        w.record("chain-replay")
-        w.kv("p", ch.p)
-        w.kv("q", ch.q)
-        w.kv("h", ch.h)
-        w.kv("k", ch.k)
-        w.kv("xi", ch.witness.xi)
-        w.kv("U", ch.witness.U_jk)
-        w.kv("V", ch.witness.V_k)
-        w.kv("denominator-scale", ch.witness.denominator_scale)
-        w.kv("xi-divisible-by-b^m", ch.witness.divisible_by_bm)
-        w.kv("remainder-small", ch.eq_remainder_small)
-        w.kv("balance", ch.eq_balance)
-        w.kv("distance", ch.eq_distance)
-        w.kv("distance-lower", ch.distance_lower)
-        w.status(STATUS_CERTIFIED if ch.all_certified
-                 else (STATUS_VIOLATED if ch.eq_distance is False else STATUS_INDETERMINATE))
-    return w
+    rec = Record("diophantine-bound")
+    rec.add("system", rep.system_name)
+    rec.add("a", rep.a)
+    rec.add("b", rep.b)
+    rec.add("B", rep.B)
+    rec.add("m", rep.m)
+    rec.add("n", rep.n)
+    rec.add("j", rep.j)
+    rec.add("rhs-exponent", rep.rhs_exponent)
+    rec.add("rhs", rep.rhs)
+    rec.add("lhs", rep.lhs, rep.status)
+    rec.add("hypothesis-ok", rep.hypothesis_ok)
+    rec.add("c4", rep.constants.c4)
+    if rep.chain is None:
+        return [rec]
+    ch = rep.chain
+    chain = Record("chain-replay")
+    chain.add("p", ch.p)
+    chain.add("q", ch.q)
+    chain.add("h", ch.h)
+    chain.add("k", ch.k)
+    chain.add("xi", ch.witness.xi)
+    chain.add("U", ch.witness.U_jk)
+    chain.add("V", ch.witness.V_k)
+    chain.add("denominator-scale", ch.witness.denominator_scale)
+    chain.add("xi-divisible-by-b^m", ch.witness.divisible_by_bm)
+    # only a refuted distance is a violation; the steps before it can only leave it open
+    chain.add("remainder-small", ch.eq_remainder_small, ch.eq_remainder_small or None)
+    chain.add("balance", ch.eq_balance, ch.eq_balance or None)
+    chain.add("distance", ch.eq_distance, ch.eq_distance)
+    chain.add("distance-lower", ch.distance_lower)
+    return [rec, chain]
 
 
-def cmd_digits(args, echo: str) -> ReportWriter:
+def cmd_digits(args) -> list[Record]:
     if args.b < 2 or args.s < 1:
         raise PreconditionError("need b >= 2 and s >= 1")
     system = resolve_system(args.system)
@@ -271,108 +253,93 @@ def cmd_digits(args, echo: str) -> ReportWriter:
     window = _parse_range(args.window)
     ds, profile = profile_with_expansion(value, args.b, args.t, window,
                                          count=args.count)
-    w = ReportWriter(echo, args.precision)
-    w.record("digit-expansion")
-    w.kv("system", system.name)
-    w.kv("a", args.a)
-    w.kv("b", args.b)
-    w.kv("s", args.s)
-    w.kv("component", j)
-    w.kv("integer-part", ds.integer_part)
-    w.kv("certified-digits", ds.certified_len)
+    expansion = Record("digit-expansion")
+    expansion.add("system", system.name)
+    expansion.add("a", args.a)
+    expansion.add("b", args.b)
+    expansion.add("s", args.s)
+    expansion.add("component", j)
+    expansion.add("integer-part", ds.integer_part)
+    expansion.add("certified-digits", ds.certified_len)
     text = ds.as_str()
     for i in range(0, len(text), 60):
-        w.kv(f"digits[{i + 1}..{min(i + 60, ds.certified_len)}]", text[i:i + 60])
-    w.status(STATUS_CERTIFIED)
+        expansion.add(f"digits[{i + 1}..{min(i + 60, ds.certified_len)}]", text[i:i + 60])
 
-    w.record("repetition-profile")
-    w.kv("t", args.t)
-    w.kv("window", f"{window[0]}:{window[1]}")
-    w.kv("counts", " ".join(f"{n}:{c}" for n, c in profile.values))
-    w.kv("max-ratio", profile.max_ratio)
+    repetition = Record("repetition-profile")
+    repetition.add("t", args.t)
+    repetition.add("window", f"{window[0]}:{window[1]}")
+    repetition.add("counts", " ".join(f"{n}:{c}" for n, c in profile.values))
+    repetition.add("max-ratio", profile.max_ratio)
     if profile.empirical_vb is not None:
-        w.kv("empirical-vb", profile.empirical_vb)
-    w.status(STATUS_CERTIFIED)
+        repetition.add("empirical-vb", profile.empirical_vb)
 
     conv = theorem2_convergent(ds, value, args.t, window[0])
-    w.record("block-convergent")
-    w.kv("t", conv.t)
-    w.kv("n", conv.n)
-    w.kv("repetitions", conv.count)
-    w.kv("p_n", conv.p_n)
-    w.kv("q_n", conv.q_n)
-    w.kv("bound-strict", conv.bound)
-    w.kv("holds-strict", conv.holds)
-    w.kv("bound-provable", conv.bound_relaxed)
-    w.kv("holds-provable", conv.holds_relaxed)
-    w.kv("distance", conv.distance)
-    w.status(TRISTATE_STATUS[conv.holds_relaxed])
-    return w
+    block = Record("block-convergent")
+    block.add("t", conv.t)
+    block.add("n", conv.n)
+    block.add("repetitions", conv.count)
+    block.add("p_n", conv.p_n)
+    block.add("q_n", conv.q_n)
+    block.add("bound-strict", conv.bound)
+    block.add("holds-strict", conv.holds)
+    block.add("bound-provable", conv.bound_relaxed)
+    block.add("holds-provable", conv.holds_relaxed, conv.holds_relaxed)
+    block.add("distance", conv.distance)
+    return [expansion, repetition, block]
 
 
-def cmd_sqrt(args, echo: str) -> ReportWriter:
+def cmd_sqrt(args) -> list[Record]:
     d = args.d
     exp = cf_sqrt(d, args.convergents)
-    w = ReportWriter(echo, args.precision)
-    w.record("continued-fraction")
-    w.kv("d", d)
-    w.kv("terms", " ".join(str(t) for t in exp.terms))
-    w.kv("period", " ".join(str(t) for t in exp.period))
-    w.status(STATUS_CERTIFIED)
+    cf = Record("continued-fraction")
+    cf.add("d", d)
+    cf.add("terms", " ".join(str(t) for t in exp.terms))
+    cf.add("period", " ".join(str(t) for t in exp.period))
+    records = [cf]
     for idx, conv in enumerate(exp.convergents):
-        w.record("convergent")
-        w.kv("index", idx)
-        w.kv("alpha", conv.alpha)
-        w.kv("beta", conv.beta)
-        w.kv("pell-value", conv.pell_value)
+        rec = Record("convergent")
+        rec.add("index", idx)
+        rec.add("alpha", conv.alpha)
+        rec.add("beta", conv.beta)
+        rec.add("pell-value", conv.pell_value)
         pell_ok = pell_bound_check(conv, d)
         gap_ok = convergent_gap_check(conv, d)
-        w.kv("pell-bound-ok", pell_ok)
-        w.kv("gap-ok", gap_ok)
-        w.status(STATUS_CERTIFIED if pell_ok and gap_ok else STATUS_VIOLATED)
+        rec.add("pell-bound-ok", pell_ok, pell_ok)
+        rec.add("gap-ok", gap_ok, gap_ok)
+        records.append(rec)
     red = reduce_to_theorem1(exp.convergents[-1], d)
-    w.record("reduction")
-    w.kv("alpha", red.alpha)
-    w.kv("beta", red.beta)
-    w.kv("a", red.a)
-    w.kv("b", red.b)
-    w.kv("system", red.system_name)
-    w.kv("N_d", red.N_d)
-    w.kv("alpha-ge-N_d", red.alpha_ge_Nd)
-    w.kv("hyp-b-ok", red.hyp_b_ok)
-    w.kv("m-threshold", red.m_threshold)
-    w.kv("identity-width", red.identity_width)
-    w.kv("identity-series-checked", red.identity_series_checked)
-    w.status(STATUS_CERTIFIED)
+    rec = Record("reduction")
+    rec.add("alpha", red.alpha)
+    rec.add("beta", red.beta)
+    rec.add("a", red.a)
+    rec.add("b", red.b)
+    rec.add("system", red.system_name)
+    rec.add("N_d", red.N_d)
+    rec.add("alpha-ge-N_d", red.alpha_ge_Nd)
+    rec.add("hyp-b-ok", red.hyp_b_ok)
+    rec.add("m-threshold", red.m_threshold)
+    rec.add("identity-width", red.identity_width)
+    rec.add("identity-series-checked", red.identity_series_checked)
+    records.append(rec)
     if args.scan_m:
         scan = theorem5_scan(d, exp.convergents[-1], _parse_range(args.scan_m),
                              denominator_choice=args.den)
-        w.record("restricted-scan")
-        w.kv("denominator", f"{args.den}={scan.den}")
-        w.kv("m-range", f"{scan.m_range[0]}:{scan.m_range[1]}")
+        rec = Record("restricted-scan")
+        rec.add("denominator", f"{args.den}={scan.den}")
+        rec.add("m-range", f"{scan.m_range[0]}:{scan.m_range[1]}")
         for row in scan.rows:
-            w.kv(f"m[{row.m}]", f"n={row.n} dist={row.distance.decimal_str(10)} "
-                                f"eta-req<={fmt_fraction(row.eta_req)}")
-        w.kv("eta-fit", scan.eta_fit)
-        w.status(STATUS_CERTIFIED)
-    return w
+            rec.add(f"m[{row.m}]", f"n={row.n} dist={row.distance.decimal_str(10)} "
+                                   f"eta-req<={fmt_fraction(row.eta_req)}")
+        rec.add("eta-fit", scan.eta_fit)
+        records.append(rec)
+    return records
 
 
-def render_suite(records: list[SuiteRecord], echo: str, precision: int) -> ReportWriter:
-    """The suite report: one record per SuiteRecord, then the summary."""
-    w = ReportWriter(echo, precision)
-    for rec in records:
-        w.record(rec.kind)
-        for key, value in rec.fields.items():
-            w.kv(key, value)
-        w.status(rec.status)
-    w.record("suite-summary")
-    w.kv("violated", w.any_violated)
-    return w
-
-
-def cmd_suite(args, echo: str) -> ReportWriter:
-    return render_suite(run_suite(args.quick, args.precision), echo, args.precision)
+def cmd_suite(args) -> list[Record]:
+    """The suite records, then a summary that carries no status of its own."""
+    records = run_suite(args.quick, args.precision)
+    violated = any(rec.status == STATUS_VIOLATED for rec in records)
+    return [*records, Record("suite-summary", {"violated": violated})]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--h", type=int, default=None)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(handler=cmd_zerocheck)
 
@@ -479,7 +445,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         with precision_cap(args.max_precision):
-            writer = args.handler(args, " ".join([str(a) for a in argv]))
+            records = args.handler(args)
+        writer = ReportWriter(" ".join([str(a) for a in argv]), args.precision, records)
         text = writer.render()
         if args.out:
             try:

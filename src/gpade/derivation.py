@@ -48,6 +48,10 @@ class IterationStepCert:
     def order_ok(self) -> bool:
         return all(v >= t for v, t in zip(self.order_verified, self.order_targets))
 
+    @property
+    def ok(self) -> bool:
+        return self.degree_ok and self.Q_integral and self.P_cleared and self.order_ok
+
 
 @dataclass
 class IteratedFamily:
@@ -136,6 +140,10 @@ class ZeroEstimateCheck:
     required_vanish: int
     nonzero: bool
     degree_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.nonzero and self.degree_ok and self.vanish_order >= self.required_vanish
 
 
 def _poly_det(mat: list[list[Poly]]) -> Poly:

@@ -1,9 +1,9 @@
 """Line-oriented structured reports.
 
-One record per check, `key: value` lines, exact numbers as decimal strings
-and intervals as exact endpoint pairs, so identical runs produce byte
-identical output and reports diff cleanly.  Build artifacts written in this
-format can be parsed back (`parse_report`) to feed later stages.
+A report is a header and one `Record` per check: `key: value` lines, exact
+numbers as decimal strings and intervals as exact endpoint pairs, so
+identical runs produce byte identical output and reports diff cleanly.
+Build artifacts in this format can be parsed back (`parse_report`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ STATUS_INDETERMINATE = "indeterminate"
 STATUS_HYPOTHESIS_UNMET = "hypothesis-unmet"
 # the status of a check that rests on one tristate decision
 TRISTATE_STATUS = {True: STATUS_CERTIFIED, False: STATUS_VIOLATED, None: STATUS_INDETERMINATE}
+# every status, least severe first
+SEVERITY = (STATUS_CERTIFIED, STATUS_INDETERMINATE, STATUS_HYPOTHESIS_UNMET, STATUS_VIOLATED)
 
 FORMAT_VERSION = "1"
 
@@ -51,10 +53,6 @@ def fmt_poly(p: Poly) -> str:
     return " ".join(fmt_fraction(c) for c in p.coeffs)
 
 
-def fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def fmt_sym(sym: tuple[Fraction, Fraction]) -> str:
     """coef*e^exp of a closed form (coef, exp)."""
     coef, e_exp = sym
@@ -65,7 +63,7 @@ def fmt_sym(sym: tuple[Fraction, Fraction]) -> str:
 
 def format_value(v) -> str:
     if isinstance(v, bool):
-        return fmt_bool(v)
+        return "true" if v else "false"
     if isinstance(v, IntervalReal):
         return fmt_interval(v)
     if isinstance(v, (int, Fraction)):
@@ -77,36 +75,49 @@ def format_value(v) -> str:
     return str(v)
 
 
-class ReportWriter:
-    """Accumulates records; `render` yields the canonical text form."""
+class Record:
+    """A kind and ordered fields.  `add`'s `ok` is the status the field gives:
+    True certified, False violated, None indeterminate, or a status string.
+    The record's status is the most severe given (`SEVERITY`); a record built
+    from `fields` with no `add` call has none and prints no status line."""
 
-    def __init__(self, command: str, precision: int):
-        self._lines: list[str] = [f"gpade-report: {FORMAT_VERSION}",
-                                  f"command: {command}", f"precision: {precision}"]
-        self._statuses: list[str] = []
+    def __init__(self, kind: str, fields: Optional[dict] = None):
+        self.kind = kind
+        self.fields: dict = dict(fields or {})
+        self.status: Optional[str] = None
 
-    def kv(self, key: str, value) -> None:
+    def add(self, key: str, value, ok: Union[bool, None, str] = True) -> None:
         if ":" in key or "\n" in key:
             raise PreconditionError(f"malformed report key {key!r}")
-        self._lines.append(f"{key}: {format_value(value)}")
+        status = TRISTATE_STATUS.get(ok, ok)
+        if status not in SEVERITY:
+            raise PreconditionError(f"unknown status {ok!r}")
+        self.fields[key] = value
+        if self.status is None or SEVERITY.index(status) > SEVERITY.index(self.status):
+            self.status = status
 
-    def record(self, kind: str) -> None:
-        self._lines.append("")
-        self._lines.append(f"record: {kind}")
 
-    def status(self, value: str) -> None:
-        if value not in (STATUS_CERTIFIED, STATUS_VIOLATED,
-                         STATUS_INDETERMINATE, STATUS_HYPOTHESIS_UNMET):
-            raise PreconditionError(f"unknown status {value!r}")
-        self._statuses.append(value)
-        self.kv("status", value)
+class ReportWriter:
+    """A report: the header, then each record; `render` yields the canonical text."""
+
+    def __init__(self, command: str, precision: int, records: list[Record]):
+        self.command = command
+        self.precision = precision
+        self.records = records
 
     @property
     def any_violated(self) -> bool:
-        return STATUS_VIOLATED in self._statuses
+        return any(rec.status == STATUS_VIOLATED for rec in self.records)
 
     def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
+        lines = [f"gpade-report: {FORMAT_VERSION}", f"command: {self.command}",
+                 f"precision: {self.precision}"]
+        for rec in self.records:
+            lines += ["", f"record: {rec.kind}"]
+            lines += [f"{key}: {format_value(value)}" for key, value in rec.fields.items()]
+            if rec.status is not None:
+                lines.append(f"status: {rec.status}")
+        return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> tuple[dict, list[dict]]:

@@ -12,6 +12,7 @@ pretending the schedule applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -104,6 +105,8 @@ def construct_xi(fam: IteratedFamily, sys: GFunctionSystem, a: int, b: int,
     if sys.D_poly(ab) == 0:
         raise PreconditionError("a/b is a root of the system denominator polynomial")
     if k is None:
+        if math.gcd(a, b) != 1:
+            raise PreconditionError("the nonvanishing scan needs a/b in lowest terms")
         k = find_nonvanishing_index(fam, sys, ab, n, B, m, j)
     dd = sys.denominator(p + (d - 1) * k)
     bpow = b ** (p + (d - 1) * k)
@@ -228,6 +231,8 @@ def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
     p, q, h = pqh
     if p < q + m:
         raise PreconditionError("chain replay needs p >= q + m")
+    if math.gcd(a, b) != 1:
+        raise PreconditionError("chain replay needs a/b in lowest terms")
     ab = Fraction(a, b)
     approx = build_approximant(sys, p, q, h)
     kmax = ell0_bound(sys, p, q, h) + sys.N

@@ -32,9 +32,9 @@ from gpade import (
 )
 from gpade import acceptance
 from gpade.acceptance import CHAIN_INSTANCES, Z_POINTS, grid, run_suite
-from gpade.cli import render_suite
 from gpade.digits import expand_digits, theorem2_convergent
 from gpade.intervals import precision_cap
+from gpade.report import Record, ReportWriter
 
 GOLDEN_SUITE = os.path.join(os.path.dirname(__file__), "oracles", "golden", "suite.txt")
 
@@ -47,7 +47,7 @@ STRICT_BOUND_VIOLATIONS = [
 
 
 class Suite(NamedTuple):
-    records: dict      # kind -> SuiteRecord, in report order
+    records: dict      # kind -> Record, in report order
     elapsed: float     # seconds the full computation took
 
 
@@ -59,7 +59,8 @@ def suite() -> Suite:
 
 
 def test_full_suite_report_is_golden(suite):
-    writer = render_suite(list(suite.records.values()), "suite", 64)
+    summary = Record("suite-summary", {"violated": False})
+    writer = ReportWriter("suite", 64, [*suite.records.values(), summary])
     with open(GOLDEN_SUITE) as fh:
         assert writer.render() == fh.read()
     assert not writer.any_violated

@@ -135,6 +135,38 @@ def test_verify_property_mode(capsys):
     assert rec["status"] == "certified"
 
 
+def test_chain_replay_status_rule(capsys, monkeypatch):
+    import dataclasses
+
+    import gpade.verify
+    argv = ["verify", "--system", "log1m", "--a", "3", "--b", "5", "--B", "1", "--m", "1",
+            "--n", "-1", "--property-mode", "--p", "3", "--q", "2", "--h", "2"]
+    # remainder-small fails at 3/5: the chain is left open, not violated
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rec = next(r for r in parse_report(out)[1] if r["record"] == "chain-replay")
+    assert (rec["remainder-small"], rec["distance"]) == ("false", "true")
+    assert rec["status"] == "indeterminate"
+    # a refuted distance is the one violation of the chain
+    original = gpade.verify.replay_chain
+    monkeypatch.setattr(gpade.verify, "replay_chain", lambda *a, **kw: dataclasses.replace(
+        original(*a, **kw), eq_distance=False))
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    rec = next(r for r in parse_report(out)[1] if r["record"] == "chain-replay")
+    assert rec["distance"] == "false"
+    assert rec["status"] == "violated"
+
+
+def test_chain_replay_needs_lowest_terms(capsys):
+    # 2/10 used to scan with 5^m in place of 10^m and fail as an internal error
+    code = main(["verify", "--system", "log1m", "--a", "2", "--b", "10", "--B", "8430",
+                 "--m", "1", "--n", "-18811", "--property-mode", "--p", "4", "--q", "2",
+                 "--h", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "gpade: error: chain replay needs a/b in lowest terms\n"
+
+
 def test_verify_property_mode_needs_pqh(capsys):
     code = main(["verify", "--system", "log1m", "--a", "1", "--b", "10", "--B", "1",
                  "--m", "1", "--n", "-1", "--property-mode"])
@@ -263,6 +295,29 @@ def test_constants_exact_schedule_decision(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("b, m, hyp_m_ok, expected", [
+    (2 ** 189 + 1, 1000, True, ("true", "true", "false", "certified")),
+    (2 ** 189 + 1, 1, False, ("true", "false", "false", "hypothesis-unmet")),
+    (2 ** 189 - 1, 1000, True, ("false", "true", "false", "hypothesis-unmet")),
+    # an undecided hyp-m-ok is not an unmet hypothesis
+    (2 ** 189 + 1, 1000, None, ("true", "indeterminate", "false", "certified")),
+], ids=["all-met", "hyp-m-unmet", "hyp-b-unmet", "hyp-m-undecided"])
+def test_constants_status_rule(tmp_path, capsys, monkeypatch, b, m, hyp_m_ok, expected):
+    import dataclasses
+
+    import gpade.cli
+    original = gpade.cli.compute_constants
+    monkeypatch.setattr(gpade.cli, "compute_constants", lambda *a, **kw: dataclasses.replace(
+        original(*a, **kw), hyp_m_ok=hyp_m_ok))
+    path = tmp_path / "binom.txt"
+    path.write_text("family binom_power\nparam alpha 1/2\nDgrowth 4\n")
+    code, out = run_cli(capsys, "constants", "--system", str(path), "--a", "1",
+                        "--b", str(b), "--t", "0", "--m", str(m), "--precision", "16")
+    assert code == 0
+    rec = parse_report(out)[1][0]
+    assert (rec["hyp-b-ok"], rec["hyp-m-ok"], rec["desk-scale"], rec["status"]) == expected
+
+
 def test_constants_hyp_b_decided_exactly_when_x_straddles(tmp_path, capsys):
     # c1 = 2^21, so x = log b / (3 log c1) is 3 = N+2 at b = 2^189; at 16 digits
     # the enclosure of x straddles 3 for both b = 2^189 + 1 and b = 2^189 - 1
@@ -359,7 +414,7 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
 def test_foreign_exception_exits_3_with_one_line(capsys, monkeypatch):
     import gpade.cli
 
-    def broken(args, echo):
+    def broken(args):
         raise RuntimeError("not a gpade error")
 
     monkeypatch.setattr(gpade.cli, "cmd_sqrt", broken)

@@ -1,5 +1,5 @@
-"""Golden-report gate: the README commands, `suite --quick` and the demos stay
-byte-identical.
+"""Golden-report gate: the README commands, a property-mode `verify` (the only
+chain-replay record), `suite --quick` and the demos stay byte-identical.
 
 Each report under tests/oracles/golden/ was frozen from a known-good tree,
 together with the command's exit code.  A refactor that changes any byte of
@@ -37,6 +37,9 @@ COMMANDS = {
                    "--t", "1", "--m", "1"], 0),
     "verify": (["verify", "--system", "log1m", "--a", "1", "--b", "10", "--B", "1",
                 "--m", "1", "--scan-nearest"], 0),
+    "verify-property": (["verify", "--system", "log1m", "--a", "1", "--b", "10", "--B", "1",
+                         "--m", "1", "--n", "-1", "--property-mode", "--p", "3", "--q", "2",
+                         "--h", "2"], 0),
     "digits": (["digits", "--system", "polylog2", "--a", "1", "--b", "10",
                 "--count", "120", "--window", "20:60", "--j", "2"], 0),
     "sqrt": (["sqrt", "--d", "2", "--convergents", "6", "--scan-m", "1:4"], 0),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gpade import IntervalReal, Poly
 from gpade.errors import PreconditionError
 from gpade.report import (
+    Record,
     ReportWriter,
     fmt_fraction,
     fmt_interval,
@@ -60,12 +61,11 @@ def test_format_value_dispatch():
 
 
 def test_writer_shape_and_statuses():
-    w = ReportWriter("demo run", precision=64)
-    w.record("first-check")
-    w.kv("value", Fraction(3, 7))
-    w.status("certified")
-    w.record("second-check")
-    w.status("violated")
+    first = Record("first-check")
+    first.add("value", Fraction(3, 7))
+    second = Record("second-check")
+    second.add("ok", False, False)
+    w = ReportWriter("demo run", 64, [first, second])
     text = w.render()
     assert w.any_violated
     header, records = parse_report(text)
@@ -75,25 +75,57 @@ def test_writer_shape_and_statuses():
     assert [r["record"] for r in records] == ["first-check", "second-check"]
     assert records[0]["value"] == "3/7"
     assert records[0]["status"] == "certified"
+    assert records[1]["status"] == "violated"
 
 
 def test_writer_rejects_bad_keys_and_statuses():
-    w = ReportWriter("x", precision=64)
+    rec = Record("x")
     with pytest.raises(PreconditionError):
-        w.kv("bad: key", 1)
+        rec.add("bad: key", 1)
     with pytest.raises(PreconditionError):
-        w.status("sort-of-ok")
-    assert not w.any_violated
+        rec.add("new\nline", 1)
+    with pytest.raises(PreconditionError):
+        rec.add("k", 1, "sort-of-ok")
+    assert rec.fields == {} and rec.status is None
+    assert not ReportWriter("x", 64, [rec]).any_violated
 
 
 def test_writer_deterministic():
     def build():
-        w = ReportWriter("same", precision=32)
-        w.record("r")
-        w.kv("iv", IntervalReal(Fraction(1, 3), Fraction(2, 3)))
-        w.status("certified")
-        return w.render()
+        rec = Record("r")
+        rec.add("iv", IntervalReal(Fraction(1, 3), Fraction(2, 3)))
+        return ReportWriter("same", 32, [rec]).render()
     assert build() == build()
+
+
+SEVERITY = ["certified", "indeterminate", "hypothesis-unmet", "violated"]
+
+
+@pytest.mark.parametrize("lower, higher", [
+    (lo, hi) for i, hi in enumerate(SEVERITY) for lo in SEVERITY[:i]])
+def test_record_status_is_the_most_severe(lower, higher):
+    for order in ((lower, higher), (higher, lower)):
+        rec = Record("r")
+        for i, status in enumerate(order):
+            rec.add(f"f{i}", i, status)
+        assert rec.status == higher, order
+
+
+@pytest.mark.parametrize("ok, status", [
+    (True, "certified"), (None, "indeterminate"), (False, "violated"),
+    ("hypothesis-unmet", "hypothesis-unmet")])
+def test_record_ok_values(ok, status):
+    rec = Record("r")
+    rec.add("k", 1, ok)
+    assert rec.status == status
+
+
+def test_record_from_fields_has_no_status():
+    rec = Record("summary", {"violated": False})
+    assert rec.status is None
+    text = ReportWriter("c", 64, [rec]).render()
+    assert text.endswith("\nrecord: summary\nviolated: false\n")
+    assert "status" not in parse_report(text)[1][0]
 
 
 def test_parse_report_rejects_garbage():

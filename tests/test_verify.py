@@ -93,6 +93,14 @@ def test_construct_xi_needs_nondiagonal(log1m):
         construct_xi(fam, log1m, 1, 10, 1, 1, -1, 1)
 
 
+def test_construct_xi_scan_needs_lowest_terms(log1m):
+    fam = iterate(build_approximant(log1m, 4, 2, 2), log1m, 3)
+    with pytest.raises(PreconditionError, match="lowest terms"):
+        construct_xi(fam, log1m, 2, 10, 8430, 1, -18811, 1)
+    # with k given there is no scan, and b is taken as given
+    assert construct_xi(fam, log1m, 2, 10, 8430, 1, -18811, 1, k=1).b == 10
+
+
 def test_replay_chain_hand_instance(log1m):
     chain = replay_chain(log1m, 1, 10, 1, 1, -1, 1, (3, 2, 2))
     assert chain.all_certified
