@@ -31,6 +31,9 @@ from .report import (STATUS_HYPOTHESIS_UNMET, STATUS_VIOLATED, Record, ReportWri
                      fmt_fraction, fmt_poly, fmt_sym, parse_report)
 from .verify import scan_nearest, value_producer, verify_theorem1
 
+# verify prints rhs exactly while its denominator has at most this many digits, closed form above
+RHS_EXACT_DIGITS = 10 ** 5
+
 
 class _Parser(argparse.ArgumentParser):
     """Rejected arguments take main's one usage-error path (exit 2), not SystemExit."""
@@ -215,7 +218,8 @@ def cmd_verify(args) -> list[Record]:
     rec.add("n", rep.n)
     rec.add("j", rep.j)
     rec.add("rhs-exponent", rep.rhs_exponent)
-    rec.add("rhs", rep.rhs)
+    rec.add("rhs", rep.rhs if rep.rhs.denominator < 10 ** RHS_EXACT_DIGITS
+            else f"1/({rep.B}*{rep.b}^{rep.m}*{abs(rep.a) + 1}^{rep.rhs_exponent})")
     rec.add("lhs", rep.lhs, rep.status)
     rec.add("hypothesis-ok", rep.hypothesis_ok)
     rec.add("c4", rep.constants.c4)

@@ -75,18 +75,21 @@ def _height_Qk(fam_or_approx, k: int) -> Fraction:
 
 
 def bound_remainder(fam_or_approx, sys: GFunctionSystem, k: int, z: Scalar) -> Fraction:
-    """Rational bound on |Q_k F_j - P_{j,k}| at z, valid for every j, for C|z| < 1."""
+    """Rational bound on |Q_k F_j - P_{j,k}| at z, valid for every j, for C|z| < 1:
+    H(Q_k) (e+1) max(1,C)^e (C|z|)^{p+h+1-k} / (1-C|z|), e = q+k(d-1), in integers."""
     base = fam_or_approx.base if isinstance(fam_or_approx, IteratedFamily) else fam_or_approx
-    p, q, h, d = base.p, base.q, base.h, sys.d
-    cz = sys.C * abs(Fraction(z))
-    if cz >= 1:
-        raise PreconditionError(f"need C|z| < 1, got {cz}")
+    p, q, h, d, C, z = base.p, base.q, base.h, sys.d, sys.C, Fraction(z)
+    u, v = C.numerator * abs(z.numerator), C.denominator * z.denominator
+    if u >= v:
+        raise PreconditionError(f"need C|z| < 1, got {Fraction(u, v)}")
     Hk = _height_Qk(fam_or_approx, k)
-    if cz == 0:
+    if u == 0:
         return Fraction(0)
-    expo = p + h + 1 - k
-    return (Hk * (q + k * (d - 1) + 1) * max(Fraction(1), sys.C) ** (q + k * (d - 1))
-            * cz ** expo / (1 - cz))
+    e, expo = q + k * (d - 1), p + h + 1 - k
+    c = max(1, C)
+    un, vn = (u ** expo, v ** expo) if expo >= 0 else (v ** -expo, u ** -expo)
+    return Fraction(Hk.numerator * (e + 1) * c.numerator ** e * un * v,
+                    Hk.denominator * c.denominator ** e * vn * (v - u))
 
 
 # -- the constant chain ------------------------------------------------------

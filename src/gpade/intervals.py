@@ -1,8 +1,11 @@
 """Certified real intervals with exact rational endpoints.
 
 An IntervalReal [lo, hi] asserts lo <= x <= hi for the represented real x.
-All endpoint arithmetic is exact; explicit `round_out` calls trade endpoint
-size for width, always outward, so containment is never lost.
+It stores integer numerators over one positive denominator, not necessarily
+reduced, so arithmetic and comparisons run on ints; a gcd runs only where the
+endpoints are read as Fractions or rounded.  All endpoint arithmetic is exact;
+explicit `round_out` calls trade endpoint size for width, always outward, so
+containment is never lost.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
@@ -70,112 +74,126 @@ def round_up(f: Fraction, digits: int) -> Fraction:
     return Fraction(-((-f.numerator) * scale // f.denominator), scale)
 
 
-def round_sig_down(f: Fraction, sig: int) -> Fraction:
-    """Round toward -inf keeping ~sig significant decimal digits."""
-    if f == 0:
-        return f
-    mag = _decimal_digits(f.numerator) - _decimal_digits(f.denominator)
-    return round_down(f, max(0, sig - mag))
-
-def round_sig_up(f: Fraction, sig: int) -> Fraction:
-    if f == 0:
-        return f
-    mag = _decimal_digits(f.numerator) - _decimal_digits(f.denominator)
-    return round_up(f, max(0, sig - mag))
+def _parts(x) -> tuple[int, int, int]:
+    """(lo, hi, den) of an interval operand; a scalar is a point."""
+    if isinstance(x, IntervalReal):
+        return x._lo, x._hi, x._den
+    if type(x) is int:
+        return x, x, 1
+    x = _frac(x)
+    return x.numerator, x.numerator, x.denominator
 
 
 class IntervalReal:
-    """Closed interval with exact Fraction endpoints."""
+    """Closed interval [lo/den, hi/den], den > 0; `.lo` and `.hi` are normalized views."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("_lo", "_hi", "_den")
 
     def __init__(self, lo: Scalar, hi: Scalar):
         lo, hi = _frac(lo), _frac(hi)
-        if lo > hi:
+        ld, hd = lo.denominator, hi.denominator
+        g = gcd(ld, hd)
+        self._lo, self._hi, self._den = lo.numerator * (hd // g), hi.numerator * (ld // g), ld // g * hd
+        if self._lo > self._hi:
             raise PreconditionError(f"interval endpoints out of order: {lo} > {hi}")
-        self.lo = lo
-        self.hi = hi
+
+    @classmethod
+    def _of(cls, lo: int, hi: int, den: int) -> "IntervalReal":
+        """Unchecked constructor of internal results: the caller ensures lo <= hi, den > 0."""
+        iv = object.__new__(cls)
+        iv._lo, iv._hi, iv._den = lo, hi, den
+        return iv
 
     @classmethod
     def point(cls, x: Scalar) -> "IntervalReal":
         x = _frac(x)
-        return cls(x, x)
+        return cls._of(x.numerator, x.numerator, x.denominator)
+
+    lo = property(lambda self: Fraction(self._lo, self._den), doc="lower endpoint, normalized")
+    hi = property(lambda self: Fraction(self._hi, self._den), doc="upper endpoint, normalized")
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._hi - self._lo, self._den)
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self._lo + self._hi, 2 * self._den)
 
     def __repr__(self) -> str:
         return f"IntervalReal({self.lo}, {self.hi})"
 
     def __contains__(self, x) -> bool:
-        if isinstance(x, IntervalReal):
-            return self.lo <= x.lo and x.hi <= self.hi
-        x = _frac(x)
-        return self.lo <= x <= self.hi
+        lo, hi, den = _parts(x)
+        return self._lo * den <= lo * self._den and hi * self._den <= self._hi * den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalReal):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        d, od = self._den, other._den
+        return self._lo * od == other._lo * d and self._hi * od == other._hi * d
 
     def __hash__(self):
         return hash((self.lo, self.hi))
 
     # -- arithmetic (exact endpoints) ----------------------------------
 
+    def _add(self, lo: int, hi: int, den: int) -> "IntervalReal":
+        d = self._den
+        g = gcd(d, den)
+        s, t = den // g, d // g
+        return IntervalReal._of(self._lo * s + lo * t, self._hi * s + hi * t, d * s)
+
     def __add__(self, other) -> "IntervalReal":
-        other = self._coerce(other)
-        return IntervalReal(self.lo + other.lo, self.hi + other.hi)
+        return self._add(*_parts(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntervalReal":
-        return IntervalReal(-self.hi, -self.lo)
+        return IntervalReal._of(-self._hi, -self._lo, self._den)
 
     def __sub__(self, other) -> "IntervalReal":
-        return self + (-self._coerce(other))
+        lo, hi, den = _parts(other)
+        return self._add(-hi, -lo, den)
 
     def __rsub__(self, other) -> "IntervalReal":
-        return self._coerce(other) + (-self)
+        return (-self)._add(*_parts(other))
 
     def __mul__(self, other) -> "IntervalReal":
-        other = self._coerce(other)
-        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        olo, ohi, oden = _parts(other)
+        lo, hi, den = self._lo, self._hi, self._den * oden
         # by signs: a point or two nonnegative operands need two products, no min/max
         if olo == ohi:
-            return IntervalReal(lo * olo, hi * olo) if olo >= 0 else IntervalReal(hi * olo, lo * olo)
+            return IntervalReal._of(lo * olo, hi * olo, den) if olo >= 0 \
+                else IntervalReal._of(hi * olo, lo * olo, den)
         if lo >= 0 and olo >= 0:
-            return IntervalReal(lo * olo, hi * ohi)
+            return IntervalReal._of(lo * olo, hi * ohi, den)
         products = (lo * olo, lo * ohi, hi * olo, hi * ohi)
-        return IntervalReal(min(products), max(products))
+        return IntervalReal._of(min(products), max(products), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "IntervalReal":
-        other = self._coerce(other)
-        if other.lo <= 0 <= other.hi:
+        lo, hi, den = _parts(other)
+        if lo <= 0 <= hi:
             raise PreconditionError("interval division by interval containing 0")
-        return self * IntervalReal(1 / other.hi, 1 / other.lo)
+        # 1/[lo/den, hi/den] = [den lo, den hi]/(lo hi), as lo hi > 0 for either sign
+        return self * IntervalReal._of(den * lo, den * hi, lo * hi)
 
     def __rtruediv__(self, other) -> "IntervalReal":
-        return self._coerce(other) / self
+        return IntervalReal.point(other) / self
 
     def __abs__(self) -> "IntervalReal":
-        if self.lo >= 0:
+        if self._lo >= 0:
             return self
-        if self.hi <= 0:
+        if self._hi <= 0:
             return -self
-        return IntervalReal(0, max(-self.lo, self.hi))
+        return IntervalReal._of(0, max(-self._lo, self._hi), self._den)
 
     def pow_int(self, k: int, sig: Optional[int] = None) -> "IntervalReal":
         """Integer power; optional per-step outward rounding to `sig` significant digits."""
         if k < 0:
             return (Fraction(1) / self).pow_int(-k, sig)
-        result = IntervalReal.point(1)
+        result = IntervalReal._of(1, 1, 1)
         base = self
         while k:
             if k & 1:
@@ -189,53 +207,53 @@ class IntervalReal:
                     base = base.round_sig(sig)
         return result
 
-    @staticmethod
-    def _coerce(x) -> "IntervalReal":
-        if isinstance(x, IntervalReal):
-            return x
-        return IntervalReal.point(_frac(x))
-
     # -- rounding / comparisons ---------------------------------------
 
     def round_out(self, digits: int) -> "IntervalReal":
         """Outward round endpoints to the 10^-digits grid (never narrows)."""
-        return IntervalReal(round_down(self.lo, digits), round_up(self.hi, digits))
+        scale = 10 ** digits
+        return IntervalReal._of(self._lo * scale // self._den, -(-self._hi * scale // self._den),
+                                scale)
 
     def round_sig(self, sig: int) -> "IntervalReal":
-        return IntervalReal(round_sig_down(self.lo, sig), round_sig_up(self.hi, sig))
+        """Outward round keeping ~sig significant decimal digits.  The magnitude is read
+        from each endpoint in lowest terms: an unreduced pair's can be one off."""
+        def places(f: Fraction) -> int:
+            return max(0, sig - _decimal_digits(f.numerator) + _decimal_digits(f.denominator))
+        lo, hi = self.lo, self.hi
+        return IntervalReal(round_down(lo, places(lo)), round_up(hi, places(hi)))
 
     def intersect(self, other: "IntervalReal") -> "IntervalReal":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        g = gcd(self._den, other._den)
+        s, t = other._den // g, self._den // g
+        lo, hi = max(self._lo * s, other._lo * t), min(self._hi * s, other._hi * t)
         if lo > hi:
             raise PreconditionError("intersection of disjoint enclosures (inconsistent certificates)")
-        return IntervalReal(lo, hi)
+        return IntervalReal._of(lo, hi, self._den * s)
 
     # tristate comparisons of every point of self with every point of other:
     # True or False when all pairs agree, None when the enclosures overlap
 
     def ge(self, other) -> Optional[bool]:
-        other = self._coerce(other)
-        return True if self.lo >= other.hi else False if self.hi < other.lo else None
+        (lo, hi, den), d = _parts(other), self._den
+        return True if self._lo * den >= hi * d else False if self._hi * den < lo * d else None
 
     def lt(self, other) -> Optional[bool]:
         ge = self.ge(other)
         return None if ge is None else not ge
 
     def le(self, other) -> Optional[bool]:
-        other = self._coerce(other)
-        return True if self.hi <= other.lo else False if self.lo > other.hi else None
+        (lo, hi, den), d = _parts(other), self._den
+        return True if self._hi * den <= lo * d else False if self._lo * den > hi * d else None
 
     def decimal_str(self, digits: int = 12) -> str:
         """Outward-rounded decimal rendering 'lo..hi' (for reports)."""
         r = self.round_out(digits)
-        def fmt(f: Fraction) -> str:
-            scaled = f * 10 ** digits
-            n = scaled.numerator // scaled.denominator
+        def fmt(n: int) -> str:
             sign = "-" if n < 0 else ""
-            n = abs(n)
-            s = str(n).rjust(digits + 1, "0")
+            s = str(abs(n)).rjust(digits + 1, "0")
             return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
-        return f"{fmt(r.lo)}..{fmt(r.hi)}"
+        return f"{fmt(r._lo)}..{fmt(r._hi)}"
 
 
 def frac_nth_root(f: Fraction, n: int, digits: int) -> IntervalReal:
@@ -250,7 +268,7 @@ def frac_nth_root(f: Fraction, n: int, digits: int) -> IntervalReal:
     m = (f.numerator * scale ** n) // f.denominator
     lo = inth_root_floor(m, n)
     hi = lo if lo ** n * f.denominator == f.numerator * scale ** n else lo + 1
-    return IntervalReal(Fraction(lo, scale), Fraction(hi, scale))
+    return IntervalReal._of(lo, hi, scale)
 
 
 def frac_pow(f: Fraction, e: Fraction, digits: int) -> IntervalReal:
@@ -267,18 +285,9 @@ def frac_pow(f: Fraction, e: Fraction, digits: int) -> IntervalReal:
     powed = f ** a  # exact rational
     if b == 1:
         return IntervalReal.point(powed)
-    # relative-precision root: scale into a comfortable window first
-    return frac_nth_root_rel(powed, b, digits)
-
-
-def frac_nth_root_rel(f: Fraction, n: int, sig: int) -> IntervalReal:
-    """Enclosure of f**(1/n), f > 0, with ~sig significant digits."""
-    f = _frac(f)
-    if f <= 0 or n < 1:
-        raise PreconditionError("frac_nth_root_rel needs f > 0, n >= 1")
-    # choose k so that f * 10^(n*k) has at least sig*n digits, then root once
-    mag = _decimal_digits(f.numerator) - _decimal_digits(f.denominator)
-    return frac_nth_root(f, n, max(0, sig + 2 - (mag // n)))
+    # relative precision: root once, at enough places for ~digits significant digits
+    mag = _decimal_digits(powed.numerator) - _decimal_digits(powed.denominator)
+    return frac_nth_root(powed, b, max(0, digits + 2 - (mag // b)))
 
 
 @contextmanager
@@ -324,8 +333,8 @@ def settle(produce: Callable[[int], R], verdict: Callable[[R], Optional[V]],
 
 def settled_floor(iv: IntervalReal) -> Optional[int]:
     """floor of every point of `iv` when they all share it, else None."""
-    lo = iv.lo.numerator // iv.lo.denominator
-    return lo if lo == iv.hi.numerator // iv.hi.denominator else None
+    lo = iv._lo // iv._den
+    return lo if lo == iv._hi // iv._den else None
 
 
 Producer = Callable[[int], IntervalReal]

@@ -61,16 +61,16 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
-    """CertifiedReal for F_j(z); raises up front when no tail bound converges."""
+    """The system's one CertifiedReal for F_j(z); a new one raises when C|z| >= 1."""
+    cached = sys._value_cache.get((j, z))
+    if cached is not None:
+        return cached
     z = Fraction(z)
     if z != 0 and sys.C * abs(z) >= 1:
         raise NoConvergentTailBound("C|z| >= 1: no convergent tail bound")
-    key = (j, z)
-    if key not in sys._value_cache:
-        sys._value_cache[key] = CertifiedReal(
-            lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
-            name=f"{sys.name}:F_{j}({z})")
-    return sys._value_cache[key]
+    return sys._value_cache.setdefault((j, z), CertifiedReal(
+        lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
+        name=f"{sys.name}:F_{j}({z})"))
 
 
 @dataclass
@@ -164,7 +164,7 @@ class VerifyReport:
     rhs_exponent: int            # rhs ~ 1/(B b^m (|a|+1)^rhs_exponent)
     status: str                  # certified | violated | indeterminate
     constants: ConstantsReport
-    hypothesis_ok: bool
+    hypothesis_ok: Optional[bool]   # hyp_b_ok, hyp_m_ok and not desk-scale; None when undecided
     chain: Optional[ChainReplay] = None
 
     @property
@@ -208,7 +208,9 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     t = _ceil_log(B, b)
     constants = compute_constants(work_sys, aa, b, Fraction(t), m,
                                   digits=max(digits, 64), allow_desk_scale=True)
-    hyp_ok = constants.hyp_b_ok and not constants.desk_scale
+    # a tristate: any unmet hypothesis gives False, else an undecided hyp_m_ok gives None
+    hyp_m = constants.hyp_m_ok
+    hyp_ok = False if not constants.hyp_b_ok or constants.desk_scale or hyp_m is False else hyp_m
 
     exp_floor = (constants.c4.lo * m).numerator // (constants.c4.lo * m).denominator
     rhs = Fraction(1, B * b ** m * (abs(a) + 1) ** exp_floor)

@@ -122,6 +122,22 @@ def test_verify_scan_nearest(capsys):
     assert rec["status"] == "certified"
 
 
+def test_verify_prints_a_huge_rhs_in_closed_form(capsys):
+    # at m = 20, b = 10^400 the exact rhs has about 3.6M digits, past the str() guard
+    b = 10 ** 400
+    code, out = run_cli(capsys, "verify", "--system", "polylog2", "--a", "1", "--b", str(b),
+                        "--B", "1", "--m", "20", "--scan-nearest", "--max-precision", "20000")
+    assert code in (0, 1)
+    rec = parse_report(out)[1][0]
+    assert rec["rhs"] == f"1/(1*{b}^20*2^{rec['rhs-exponent']})"
+    assert rec["hypothesis-ok"] == "false"
+    # below the bound rhs stays an exact fraction
+    code, out = run_cli(capsys, "verify", "--system", "log1m", "--a", "1", "--b", "10",
+                        "--B", "1", "--m", "1", "--scan-nearest")
+    rec = parse_report(out)[1][0]
+    assert rec["rhs"] == str(Fraction(1, 10 * 2 ** int(rec["rhs-exponent"])))
+
+
 def test_verify_property_mode(capsys):
     code, out = run_cli(capsys, "verify", "--system", "log1m", "--a", "1",
                         "--b", "10", "--B", "1", "--m", "1", "--n", "-1",

@@ -215,6 +215,54 @@ def test_remainder_bound_dominates_series_value(log1m):
             assert actual.hi <= bound
 
 
+def _fraction_bound_remainder(fam, sys, k, z, Hk=None):
+    """The Fraction formula that the integer `bound_remainder` replaced, kept as the reference."""
+    p, q, h, d = fam.base.p, fam.base.q, fam.base.h, sys.d
+    cz = sys.C * abs(Fraction(z))
+    Hk = fam.Qk[k].height() if Hk is None else Hk
+    if cz == 0:
+        return Fraction(0)
+    expo = p + h + 1 - k
+    return (Hk * (q + k * (d - 1) + 1) * max(Fraction(1), sys.C) ** (q + k * (d - 1))
+            * cz ** expo / (1 - cz))
+
+
+def test_bound_remainder_equals_the_fraction_formula_on_the_suite_grid():
+    from gpade.acceptance import GRID_SYSTEMS, Z_POINTS, grid
+    systems = {arg: resolve_system(arg) for arg, _ in GRID_SYSTEMS}
+    cells = 0
+    for arg, p, q, h in grid(quick=False):
+        system = systems[arg]
+        fam = iterate(build_approximant(system, p, q, h), system, max(system.N, h // system.d))
+        for k in range(h // system.d + 1):
+            for z in Z_POINTS:
+                got = bound_remainder(fam, system, k, z)
+                assert got == _fraction_bound_remainder(fam, system, k, z), (arg, p, q, h, k, z)
+                cells += 1
+    assert cells == 5425      # every call `gpade suite` makes
+
+
+def test_bound_remainder_equals_the_fraction_formula_with_c_above_one(monkeypatch):
+    # C = 8 > 1 takes the max(1, C) branch
+    system = resolve_system("binom:3/2")
+    assert system.C == 8
+    points = (Fraction(1, 10), Fraction(-1, 9), Fraction(3, 25), Fraction(1, 100), 0)
+    for p, q, h in [(3, 2, 1), (4, 3, 2), (5, 2, 2)]:
+        fam = iterate(build_approximant(system, p, q, h), system, p + h + 3)
+        for k in range(p + h + 4):
+            for z in points:
+                assert bound_remainder(fam, system, k, z) == _fraction_bound_remainder(
+                    fam, system, k, z), (p, q, h, k, z)
+    # past k = p + h + 1 the exponent of C|z| is negative; Q_k vanishes there on these
+    # shapes, so a nonzero height stands in for it
+    import gpade.constants
+    monkeypatch.setattr(gpade.constants, "_height_Qk", lambda fam, k: Fraction(7, 3))
+    for k in range(p + h + 4):
+        for z in points[:-1]:
+            assert bound_remainder(fam, system, k, z) == _fraction_bound_remainder(
+                fam, system, k, z, Fraction(7, 3)), (k, z)
+
+
 BINOM_HALF_D4 = "family binom_power\nparam alpha 1/2\nDgrowth 4\n"
 
 

@@ -61,6 +61,20 @@ def test_value_producer_caches(log1m):
         value_producer(log1m, 1, Fraction(2))
 
 
+def test_value_producer_keys_by_value_before_wrapping_z():
+    system = resolve_system("log1m")
+    assert value_producer(system, 1, 0) is value_producer(system, 1, Fraction(0))
+    tenth = value_producer(system, 1, Fraction(1, 10))
+    assert value_producer(system, 1, Fraction(1, 10)) is tenth
+    assert value_producer(system, 1, Fraction(2, 20)) is tenth
+    assert value_producer(system, 0, Fraction(1, 10)) is not tenth
+    with pytest.raises(NoConvergentTailBound):
+        value_producer(system, 1, Fraction(1))          # C|z| = 1, not cached
+    with pytest.raises(NoConvergentTailBound):
+        value_producer(system, 1, -2)
+    assert len(system._value_cache) == 3
+
+
 def test_round_half_even():
     for x, n in [(Fraction(5, 2), 2), (Fraction(7, 2), 4), (Fraction(-1, 2), 0),
                  (Fraction(-3, 2), -2), (Fraction(11, 10), 1), (Fraction(19, 10), 2)]:
@@ -135,6 +149,30 @@ def test_verify_theorem1_property_mode(log1m):
     assert rep.chain.all_certified
     # the chain is replayed exactly when (p, q, h) is given
     assert verify_theorem1(log1m, 1, 10, 1, 1, -1).chain is None
+
+
+def test_hypothesis_ok_folds_in_hyp_m_ok(polylog2):
+    # b = 10^400 meets the hypothesis on b, but m = 5 is far below c3 log b / log 2
+    b = 10 ** 400
+    n = scan_nearest(polylog2, 1, b, 1, 5)
+    rep = verify_theorem1(polylog2, 1, b, 1, 5, n)
+    assert rep.constants.hyp_b_ok is True and rep.constants.desk_scale is False
+    assert rep.constants.hyp_m_ok is False
+    assert rep.hypothesis_ok is False
+
+
+@pytest.mark.parametrize("hyp_m_ok", [True, None, False])
+def test_hypothesis_ok_is_a_tristate(polylog2, monkeypatch, hyp_m_ok):
+    import dataclasses
+
+    import gpade.verify
+    original = gpade.verify.compute_constants
+    monkeypatch.setattr(gpade.verify, "compute_constants", lambda *a, **kw: dataclasses.replace(
+        original(*a, **kw), hyp_m_ok=hyp_m_ok))
+    rep = verify_theorem1(polylog2, 1, 10 ** 400, 1, 5, 10 ** 2000)
+    assert rep.hypothesis_ok is hyp_m_ok
+    # desk scale, or an unmet hypothesis on b, makes it False whatever hyp_m_ok is
+    assert verify_theorem1(polylog2, 1, 10, 1, 1, 0).hypothesis_ok is False
 
 
 def test_verify_theorem1_negative_a(log1m):
