@@ -6,6 +6,8 @@ enclosure lies inside a single cell of the b^-i grid, so no refinement can
 change it.  The repetition count of pattern length t at position n is the
 largest ell with (a_n ... a_{n+t-1}) repeated ell times starting at n; it is
 only reported when enough certified digits exist to see the repetition break.
+Digits are read off floor(value * b^count) by splitting it in halves: a few
+big-integer divisions, not one per digit.
 
 The block convergent at (t, n) has q_n = b^{n-1}(b^t - 1) and matches the
 value's first n + t*count - 1 digits.  The classical floor-identity argument
@@ -102,13 +104,19 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
 
 def _digits_from_floor(scaled_floor: int, base: int, count: int,
                        exact: bool = False) -> DigitString:
-    digits = []
-    x = scaled_floor
-    for _ in range(count):
-        digits.append(x % base)
-        x //= base
-    return DigitString(base=base, integer_part=x, digits=tuple(reversed(digits)),
-                       certified_len=count, exact=exact)
+    integer_part, rest = divmod(scaled_floor, base ** count)
+    return DigitString(base, integer_part, tuple(_split_digits(rest, base, count)), count, exact)
+
+
+def _split_digits(x: int, base: int, n: int) -> list[int]:
+    """The n digits of 0 <= x < base^n, most significant first, split in halves."""
+    if n > 64:
+        high, low = divmod(x, base ** (n - n // 2))
+        return _split_digits(high, base, n // 2) + _split_digits(low, base, n - n // 2)
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        x, digits[i] = divmod(x, base)
+    return digits
 
 
 def repetition_count(ds: DigitString, t: int, n: int) -> int:

@@ -56,11 +56,10 @@ def _decimal_digits(n: int) -> int:
     n = abs(n)
     if n == 0:
         return 1
-    d = (n.bit_length() * 30103) // 100000   # floor(bits * log10(2)) underestimates
-    while 10 ** (d + 1) <= n:
-        d += 1
-    while 10 ** d > n:
-        d -= 1
+    d = (n.bit_length() * 30103) // 100000   # >= floor(log10 n): n < 2^bits, 0.30103 > log10 2
+    p = 10 ** d                              # one power, stepped down
+    while p > n:
+        p, d = p // 10, d - 1
     return d + 1
 
 
@@ -210,10 +209,11 @@ class IntervalReal:
     # -- rounding / comparisons ---------------------------------------
 
     def round_out(self, digits: int) -> "IntervalReal":
-        """Outward round endpoints to the 10^-digits grid (never narrows)."""
+        """Outward round endpoints to the 10^-digits grid (never narrows).  One long
+        division: the upper end is the lower one's quotient plus ceil((rem + width)/den)."""
         scale = 10 ** digits
-        return IntervalReal._of(self._lo * scale // self._den, -(-self._hi * scale // self._den),
-                                scale)
+        q, r = divmod(self._lo * scale, self._den)
+        return IntervalReal._of(q, q - (-(r + (self._hi - self._lo) * scale) // self._den), scale)
 
     def round_sig(self, sig: int) -> "IntervalReal":
         """Outward round keeping ~sig significant decimal digits.  The magnitude is read

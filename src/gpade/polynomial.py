@@ -4,8 +4,9 @@ Everything here is exact, and no floating point enters any code path.  A
 `Poly` is integer numerators over one positive common denominator, so its
 arithmetic works on ints and normalizes once per result; its `coeffs` is a
 read-only `fractions.Fraction` view.  `power_sum` is the one series kernel:
-`Poly` evaluation, F_j(z), exp and atanh all sum with it, and it adds a long
-series by binary splitting.  `truncated_product`
+`Poly` evaluation, F_j(z), exp and atanh all sum with it, it adds a long
+series by binary splitting, and it returns an unnormalized integer numerator
+and denominator, so a caller that rounds pays no gcd.  `truncated_product`
 is the one product of a `Poly` with a power series known to a finite order; a
 series is just its list of known (int or Fraction) coefficients.
 """
@@ -22,9 +23,9 @@ from .errors import PreconditionError
 Scalar = Union[int, Fraction]
 
 
-def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> Fraction:
-    """Exact sum of c_i z^i, z = a/b, as s / (den b^n) with den = lcm of the c_i's
-    denominators and n the last index: integers only, normalized once.  Runs of
+def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> tuple[int, int]:
+    """Exact sum of c_i z^i, z = a/b, as the ints (s, den b^n), unnormalized, with
+    den = lcm of the c_i's denominators and n the last index.  Runs of
     32 terms are summed by one loop, and runs of equal length are merged as they
     come (binary splitting): a long sum multiplies balanced sizes, keeps no list."""
     a, b = z.numerator, z.denominator
@@ -47,7 +48,7 @@ def power_sum(coeffs: Iterable[Scalar], z: Scalar) -> Fraction:
             runs.append((sl * (dr // g) * b ** mr + sr * (dl // g) * a ** ml, dl // g * dr, ml + mr))
         if not run:
             s, den, m = runs[0] if runs else (0, 1, 1)
-            return Fraction(s, den * b ** (m - 1))
+            return s, den * b ** (m - 1)
 
 
 class Poly:
@@ -196,7 +197,8 @@ class Poly:
         return Poly._of(list(self.num[k:]), self.den)
 
     def __call__(self, z: Scalar) -> Fraction:
-        return power_sum(self.num, z) / self.den
+        s, d = power_sum(self.num, z)
+        return Fraction(s, d * self.den)
 
 
 def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> Poly:

@@ -2,7 +2,9 @@
 
 Each function returns an IntervalReal whose endpoints are exact rationals on a
 decimal grid.  A series sums exactly, by binary splitting in polynomial.power_sum,
-through the first K >= 1 whose tail is at most 10^-(digits+1); the tail bounds are:
+through the first K >= 1 whose tail is at most 10^-(digits+1).  The integer sum
+(exp's times K!, over coefficients K!/i!) and the tail meet over one denominator and
+are rounded out once, so no Fraction is normalized on the way.  The tail bounds are:
 
   exp(x), 0 <= x <= 1:   sum_{i>K} x^i/i! <= 2 x^{K+1}/(K+1)!
   atanh(u), |u| <= 1/2:  sum_{i>K} u^{2i+1}/(2i+1) <= |u|^{2K+3}/((2K+3)(1-u^2))
@@ -16,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import truediv
+from math import factorial
+from operator import floordiv
 from typing import Union
 
 from .errors import PreconditionError
@@ -36,9 +39,14 @@ def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
         K += 1
         tn *= a
         td *= b * (K + 1)
-    total = power_sum(accumulate(range(1, K + 1), truediv, initial=Fraction(1)), x)
-    tail = Fraction(tn, td * 10 ** (digits + 1))
-    return IntervalReal(total, total + tail).round_out(digits + 1)
+    # K! times the sum has integer coefficients K!/i!, made by exact division as summed: all
+    # K + 1 at once, built up from K, would hold about K^2 log10(K) / 2 digits
+    kfact = factorial(K)
+    s, sd = power_sum(accumulate(range(1, K + 1), floordiv, initial=kfact), x)
+    # the sum s / (sd K!) and the tail over one denominator
+    sd, td = sd * kfact, td * 10 ** (digits + 1)
+    lo = s * td
+    return IntervalReal._of(lo, lo + tn * sd, sd * td).round_out(digits + 1)
 
 
 @lru_cache(maxsize=None)
@@ -80,11 +88,12 @@ def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
         K += 1
         tn *= a * a
         td *= b * b
-    total = u * power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
-    tail = Fraction(tn, (2 * K + 3) * td * 10 ** (digits + 1))
-    if u > 0:
-        return IntervalReal(total, total + tail).round_out(digits + 1)
-    return IntervalReal(total - tail, total).round_out(digits + 1)
+    s, sd = power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
+    # the sum u s / sd and the tail over one denominator; the tail lies on u's side
+    sd, td = sd * u.denominator, td * (2 * K + 3) * 10 ** (digits + 1)
+    mid, t = u.numerator * s * td, tn * sd
+    lo, hi = (mid, mid + t) if u > 0 else (mid - t, mid)
+    return IntervalReal._of(lo, hi, sd * td).round_out(digits + 1)
 
 
 @lru_cache(maxsize=None)

@@ -53,11 +53,12 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
     tn, td, M = tail.numerator * target.denominator, tail.denominator * target.numerator, 0
     while tn > td:
         tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
-    tail = Fraction(tn, td) * target
-    total = power_sum((sys.coefficient(j, n) for n in range(M + 1)), z)
-    iv = IntervalReal(total - tail, total + tail)
+    s, sd = power_sum((sys.coefficient(j, n) for n in range(M + 1)), z)
+    # the sum s / sd and the tail (tn / td) (width/2) over one denominator
+    td *= target.denominator
+    mid, t = s * td, tn * target.numerator * sd
     # outward-round to keep endpoint sizes proportional to the request
-    return iv.round_out(max(1, width_digits(width / 4)))
+    return IntervalReal._of(mid - t, mid + t, sd * td).round_out(max(1, width_digits(width / 4)))
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:

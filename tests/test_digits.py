@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpade import (
     CertifiedReal,
@@ -13,7 +16,7 @@ from gpade import (
     theorem2_convergent,
     value_producer,
 )
-from gpade.digits import _expand_exact
+from gpade.digits import _digits_from_floor, _expand_exact
 from gpade.errors import InsufficientDigitsError, PreconditionError
 from gpade.intervals import precision_cap
 
@@ -208,3 +211,51 @@ def test_theorem2_bound_check_validation(polylog2):
         theorem2_bound_check(polylog2, 1, 10, 1, 0, Fraction(1, 2), (1, 5))
     with pytest.raises(PreconditionError):
         theorem2_bound_check(polylog2, 20, 10, 1, 1, Fraction(1, 2), (1, 5))
+
+
+def _digits_from_floor_loop(scaled_floor: int, base: int, count: int) -> tuple[int, tuple[int, ...]]:
+    """The one-division-per-digit loop that splitting by halves replaced, kept as the
+    reference: (integer part, fractional digits)."""
+    digits = []
+    x = scaled_floor
+    for _ in range(count):
+        digits.append(x % base)
+        x //= base
+    return x, tuple(reversed(digits))
+
+
+@st.composite
+def _scaled_floors(draw):
+    """(base, count, floor of value * base^count), the value's integer part of either sign
+    and its digits random, all zero or all base - 1."""
+    base, count = draw(st.integers(2, 16)), draw(st.integers(1, 3000))
+    cell = base ** count
+    rest = draw(st.one_of(st.sampled_from([0, 1, cell - 1]),
+                          st.integers(0, 2 ** 64).map(lambda seed: random.Random(seed).randrange(cell))))
+    return base, count, draw(st.integers(-10 ** 6, 10 ** 6)) * cell + rest
+
+
+# 64 digits take the plain loop; 65, 129 and 3,000 split once, twice and into odd halves
+@given(_scaled_floors())
+@example((10, 64, -1))
+@example((10, 65, 10 ** 65 - 1))
+@example((2, 129, -(2 ** 129) + 5))
+@example((16, 3000, 7 * 16 ** 3000 + 16 ** 2999 + 15))
+@settings(max_examples=60, deadline=None)
+def test_digits_from_floor_equals_the_loop(case):
+    base, count, scaled_floor = case
+    ds = _digits_from_floor(scaled_floor, base, count)
+    assert (ds.integer_part, ds.digits) == _digits_from_floor_loop(scaled_floor, base, count)
+    assert ds.certified_len == count and not ds.exact
+
+
+@given(st.integers(2, 16), st.integers(1, 3000),
+       st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)))
+@example(10, 1470, Fraction(-22, 7))
+@example(3, 3000, Fraction(1, 3))          # terminates at once: all zeros after the point
+@settings(max_examples=40, deadline=None)
+def test_expand_exact_equals_the_loop(base, count, value):
+    ds = _expand_exact(value, base, count)
+    expected = _digits_from_floor_loop(value.numerator * base ** count // value.denominator,
+                                       base, count)
+    assert (ds.integer_part, ds.digits) == expected and ds.exact

@@ -203,6 +203,14 @@ def test_decimal_digits_matches_str():
         assert _decimal_digits(-n) == len(str(abs(n)))
 
 
+def test_decimal_digits_on_both_sides_of_every_power_of_ten():
+    # the count steps one power of ten down from an estimate that is never too low
+    assert _decimal_digits(0) == 1
+    for k in range(2000):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+            assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n))
+
+
 def test_decimal_digits_beyond_str_cap():
     # counts digits of integers too large for str() under the default limit
     n = 10 ** 6000 + 12345

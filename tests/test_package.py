@@ -38,15 +38,21 @@ def test_every_import_is_used():
     assert [u for path in files for u in _unused_imports(path)] == []
 
 
-def test_benchmark_contract_holds(monkeypatch):
-    """perfbench's traced names resolve, and its first job of each kind runs and checks."""
+def _perfbench(monkeypatch, *modules: str) -> tuple:
+    """perfbench's modules, imported without writing bytecode: perfbench/ stays as committed."""
     import importlib
     import sys
 
-    root = Path(__file__).resolve().parent.parent
-    monkeypatch.syspath_prepend(str(root / "perfbench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # perfbench/ stays as committed
-    spans, workloads, checks = (importlib.import_module(m) for m in ("spans", "workloads", "checks"))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return tuple(importlib.import_module(m) for m in modules)
+
+
+def test_benchmark_contract_holds(monkeypatch):
+    """perfbench's traced names resolve, and its first job of each kind runs and checks."""
+    import importlib
+
+    spans, workloads, checks = _perfbench(monkeypatch, "spans", "workloads", "checks")
     for module, attr in spans.TRACED:
         obj = importlib.import_module(f"gpade.{module}")
         for part in attr.split("."):
@@ -63,3 +69,16 @@ def test_benchmark_contract_holds(monkeypatch):
         out = workloads.run_job(spec, systems)
         assert checks.certified(spec, out), spec
         assert checks.check(spec, out) is None, spec
+
+
+def test_deep_outputs_keep_their_bytes(monkeypatch):
+    """Every `deep` job of seed 1 hashes to a pinned run digest: a change to the series
+    kernels or the digit expansion keeps every enclosure and digit, byte for byte."""
+    import hashlib
+
+    workloads, checks = _perfbench(monkeypatch, "workloads", "checks")
+    systems = {name: gpade.resolve_system(name) for name in workloads.SYSTEMS["deep"]}
+    digest = hashlib.sha256()
+    for spec in workloads.make_jobs("deep", 1):
+        digest.update(checks.digest_item(spec, workloads.run_job(spec, systems)))
+    assert digest.hexdigest() == "ac0b8e64b76dad9fdd20ce7a2430a9f7851caffcf576b9ec0ced91d7add5b40f"

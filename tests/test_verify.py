@@ -20,6 +20,7 @@ from gpade import (
 from gpade.pade import build_approximant
 from gpade.errors import NoConvergentTailBound, PreconditionError
 from gpade.intervals import width_digits
+from gpade.polynomial import power_sum
 from gpade.verify import _settled_nearest
 
 mpmath.mp.dps = 50
@@ -260,3 +261,49 @@ def test_eval_certified_equals_fraction_loop(name, j, z, width):
     sys = _REFERENCE_SYSTEMS[name]
     j = min(j, sys.N)
     assert eval_certified(sys, j, z, width) == _eval_certified_fraction(sys, j, z, width)
+
+
+def _eval_certified_from_fractions(sys, j, z: Fraction, width: Fraction) -> IntervalReal:
+    """The `eval_certified` body that normalized the sum and the tail as Fractions before
+    building the interval, kept as the reference for the integer construction."""
+    if z == 0:
+        return IntervalReal.point(sys.coefficient(j, 0))
+    cz = sys.C * abs(z)
+    tail, target = sys.C * cz / (1 - cz), width / 2
+    tn, td, M = tail.numerator * target.denominator, tail.denominator * target.numerator, 0
+    while tn > td:
+        tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
+    tail = Fraction(tn, td) * target
+    total = Fraction(*power_sum((sys.coefficient(j, n) for n in range(M + 1)), z))
+    iv = IntervalReal(total - tail, total + tail)
+    return iv.round_out(max(1, width_digits(width / 4)))
+
+
+_TRIPLE_SYSTEMS = {name: resolve_system(name)
+                   for name in ("log1m", "polylog2", "polylog3", "binom:3/2")}
+
+
+@st.composite
+def _half_radius_points(draw):
+    """(system, j, z) with C|z| <= 1/2, z of either sign or 0."""
+    name = draw(st.sampled_from(sorted(_TRIPLE_SYSTEMS)))
+    sys = _TRIPLE_SYSTEMS[name]
+    d = draw(st.integers(2, 10**4))
+    r = d // (2 * sys.C)
+    return name, draw(st.integers(0, sys.N)), Fraction(draw(st.integers(-r, r)), d)
+
+
+@given(_half_radius_points(), st.integers(1, 300).map(lambda k: Fraction(1, 10 ** k)))
+@example(("binom:3/2", 1, Fraction(-1, 16)), Fraction(1, 10 ** 300))
+@example(("binom:3/2", 0, Fraction(1, 17)), Fraction(1, 10))
+@example(("polylog3", 3, Fraction(1, 2)), Fraction(1, 10 ** 300))
+@example(("polylog2", 2, Fraction(-1, 2)), Fraction(1, 10))
+@example(("log1m", 1, Fraction(0)), Fraction(1, 10 ** 300))
+@example(("polylog2", 1, Fraction(-2, 7)), Fraction(3, 7 * 10 ** 40))   # target numerator 3
+@settings(max_examples=60, deadline=None)
+def test_eval_certified_triples_equal_the_fraction_construction(point, width):
+    # the stored (lo, hi, den), not only the values: round_out leaves no representation choice
+    name, j, z = point
+    sys = _TRIPLE_SYSTEMS[name]
+    got, want = eval_certified(sys, j, z, width), _eval_certified_from_fractions(sys, j, z, width)
+    assert (got._lo, got._hi, got._den) == (want._lo, want._hi, want._den)
