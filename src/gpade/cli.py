@@ -20,7 +20,7 @@ from .acceptance import run_suite
 from .catalog import GFunctionSystem, resolve_system
 from .constants import ConstantsConfig, compute_constants
 from .derivation import IteratedFamily, IterationStepCert, iterate, zero_estimate_check
-from .digits import profile_with_expansion, theorem2_convergent
+from .digits import digit_profile, theorem2_convergent
 from .errors import (DivisibilityError, GpadeError, InternalCertificateError, KernelVectorError,
                      PreconditionError, RankDeficiencyError)
 from .intervals import DEFAULT_DIGIT_CAP, precision_cap
@@ -29,7 +29,7 @@ from .quadratic import cf_sqrt, convergent_gap_check, pell_bound_check, \
     reduce_to_theorem1, theorem5_scan
 from .report import (STATUS_HYPOTHESIS_UNMET, STATUS_VIOLATED, Record, ReportWriter,
                      fmt_fraction, fmt_poly, fmt_sym, parse_report)
-from .verify import scan_nearest, value_producer, verify_theorem1
+from .verify import scan_nearest, verify_theorem1
 
 # verify prints rhs exactly while its denominator has at most this many digits, closed form above
 RHS_EXACT_DIGITS = 10 ** 5
@@ -245,18 +245,11 @@ def cmd_verify(args) -> list[Record]:
 
 
 def cmd_digits(args) -> list[Record]:
-    if args.b < 2 or args.s < 1:
-        raise PreconditionError("need b >= 2 and s >= 1")
     system = resolve_system(args.system)
     j = args.j if args.j is not None else system.N
-    work, aa = system.sign_reduced(args.a)
-    z = Fraction(aa, args.b ** args.s)
-    if work.C * z >= 1:
-        raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")
-    value = value_producer(work, j, z)
     window = _parse_range(args.window)
-    ds, profile = profile_with_expansion(value, args.b, args.t, window,
-                                         count=args.count)
+    value, ds, profile = digit_profile(system, args.a, args.b, args.s, args.t, window, j=j,
+                                       count=args.count)
     expansion = Record("digit-expansion")
     expansion.add("system", system.name)
     expansion.add("a", args.a)

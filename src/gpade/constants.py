@@ -266,6 +266,12 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
     return report
 
 
+def eps_threshold(report: ConstantsReport, eps: Fraction, digits: int) -> IntervalReal:
+    """(2 c4 / eps) log(|a|+1): the log b (Corollary) or log b^s (Theorem 2) that
+    the eps hypothesis on the base must beat."""
+    return report.c4 * 2 / eps * log_frac(Fraction(abs(report.a) + 1), digits)
+
+
 def _floor_certified(producer, at_least, digits: int) -> int:
     """floor of an interval-valued quantity v, escalating until both endpoints agree.
 

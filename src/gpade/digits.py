@@ -17,6 +17,9 @@ distance is |frac(b^M value) - block/(b^t - 1)| / b^M.  The two terms lie in
 the closed cells of their first digits a_{n+t*count} and a_n, so their gap is
 at most (|a_{n+t*count} - a_n| + 1) / b, and the (b-1) form can fail only on
 a carry boundary {a_n, a_{n+t*count}} = {0, b-1}; it need not fail there.
+
+`gpade digits` and the Theorem 2 check share one set-up, digit_profile: the
+value F_j(a/b^s), its expansion and its repetition profile.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .catalog import GFunctionSystem
-from .constants import compute_constants
+from .constants import compute_constants, eps_threshold
 from .errors import InsufficientDigitsError, PreconditionError
 from .intervals import (PRECISION_CAP, CertifiedReal, IntervalReal, decide, settled_floor,
                         width_digits)
@@ -269,6 +272,22 @@ def profile_with_expansion(value: Value, base: int, t: int,
             count = min(max_count, count * 3 // 2 + t)
 
 
+def digit_profile(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
+                  window: tuple[int, int], j: Optional[int] = None,
+                  count: Optional[int] = None
+                  ) -> tuple[CertifiedReal, DigitString, RepetitionProfile]:
+    """F_j(a/b^s) (j = N by default), with its base-b expansion and the repetition
+    profile of pattern length t over `window`."""
+    if b < 2 or s < 1:
+        raise PreconditionError("need b >= 2 and s >= 1")
+    work, aa = sys.sign_reduced(a)
+    z = Fraction(aa, b ** s)
+    if work.C * z >= 1:
+        raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")
+    value = value_producer(work, sys.N if j is None else j, z)
+    return (value, *profile_with_expansion(value, b, t, window, count=count))
+
+
 @dataclass
 class Theorem2Report:
     system_name: str
@@ -290,28 +309,17 @@ def theorem2_bound_check(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
                          j: Optional[int] = None, digits: int = 64) -> Theorem2Report:
     """Empirical repetition profile of F(a/b^s) in base b plus hypothesis flags."""
     eps = Fraction(eps)
-    if eps <= 0 or t < 1 or s < 1:
-        raise PreconditionError("need eps > 0, t >= 1, s >= 1")
-    j = sys.N if j is None else j
-    work_sys, aa = sys.sign_reduced(a)
-    z = Fraction(aa, b ** s)
-    if sys.C * z >= 1:
-        raise PreconditionError("C |a|/b^s must be < 1")
-    value = value_producer(work_sys, j, z)
-
-    ds, profile = profile_with_expansion(value, b, t, window)
-    count = ds.certified_len
-
-    constants = compute_constants(work_sys, aa, b, Fraction(t), max(1, s),
-                                  digits=digits, allow_desk_scale=True)
+    if eps <= 0 or t < 1:
+        raise PreconditionError("need eps > 0 and t >= 1")
+    _, ds, profile = digit_profile(sys, a, b, s, t, window, j=j)
+    # the constants take |a|, and no field of them depends on the system's sign
+    constants = compute_constants(sys, a, b, Fraction(t), s, digits=digits, allow_desk_scale=True)
     coef, e_exp = constants.c1_sym
-    hyp1 = not le_epower(b ** s, (coef * aa, e_exp), constants.c2, digits)
-    logbs = s * log_frac(Fraction(b), digits)
-    need2 = constants.c4 * 2 / eps * log_frac(Fraction(aa + 1), digits)
-    hyp2 = logbs.ge(need2)
+    hyp1 = not le_epower(b ** s, (coef * abs(a), e_exp), constants.c2, digits)
+    hyp2 = (s * log_frac(Fraction(b), digits)).ge(eps_threshold(constants, eps, digits))
 
     return Theorem2Report(system_name=sys.name, a=a, b=b, s=s, t=t, eps=eps,
                           window=window, profile=profile,
                           empirical_ok=profile.max_ratio <= eps / t,
                           hyp_growth_ok=hyp1, hyp_digit_ok=hyp2,
-                          digits_used=count)
+                          digits_used=ds.certified_len)

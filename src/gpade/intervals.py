@@ -367,16 +367,6 @@ class CertifiedReal:
         self._best_digits = digits
         return fresh
 
-    def refine(self, width: Fraction) -> IntervalReal:
-        """Cached enclosure of width <= `width`, escalating the producer as needed."""
-        width = _frac(width)
-        if width <= 0:
-            raise PreconditionError("target width must be positive")
-        _, iv = settle(self.enclosure, lambda iv: iv.width <= width or None,
-                       max(self._best_digits, width_digits(width) + 1),
-                       f"{self.name or 'value'} to width {width}")
-        return iv
-
 
 def width_digits(width: Fraction) -> int:
     """Smallest d >= 0 with 10^-d <= width: the decimal digits that reach `width`.

@@ -7,7 +7,8 @@ interval evaluation.  Its proof chain is replayed in "property mode" at
 desk-scale (p, q, h): the hypotheses on b are astronomically large for any
 interesting system, so property mode verifies the chain's inequalities
 directly (exact remainder-smallness at the chosen parameters) instead of
-pretending the schedule applies.
+pretending the schedule applies.  The Corollary is checked on the Theorem 1
+instance: it reads the constants, t and the value off verify_theorem1's report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .catalog import GFunctionSystem
-from .constants import ConstantsReport, compute_constants
+from .constants import ConstantsReport, compute_constants, eps_threshold
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
 from .errors import InternalCertificateError, NoConvergentTailBound, PreconditionError
 from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, settle, width_digits
@@ -166,6 +167,7 @@ class VerifyReport:
     status: str                  # certified | violated | indeterminate
     constants: ConstantsReport
     hypothesis_ok: Optional[bool]   # hyp_b_ok, hyp_m_ok and not desk-scale; None when undecided
+    value: CertifiedReal            # F_j(a/b), the value the bound was decided on
     chain: Optional[ChainReplay] = None
 
     @property
@@ -224,7 +226,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
                         lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],
-                        constants=constants, hypothesis_ok=hyp_ok, chain=chain)
+                        constants=constants, hypothesis_ok=hyp_ok, value=value, chain=chain)
 
 
 def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
@@ -316,26 +318,17 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
                           digits: int = 64) -> CorollaryReport:
     """Certify the simpler bound |F(a/b) - n/(B b^m)| >= 1/b^{m(1+eps)}.
 
-    Hypothesis flags are reported (they fail at desk scale); the bound itself
-    is still certified or refuted by intervals.
+    Runs on the Theorem 1 instance: verify_theorem1's input checks, and its
+    constants, t and value.  Hypothesis flags are reported (they fail at desk
+    scale); the bound itself is still certified or refuted by intervals.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    j = sys.N if j is None else j
-    work_sys, aa = sys.sign_reduced(a)
-    t = _ceil_log(B, b)
-    constants = compute_constants(work_sys, aa, b, Fraction(t), m,
-                                  digits=digits, allow_desk_scale=True)
+    thm1 = verify_theorem1(sys, a, b, B, m, n, j=j, digits=digits)
     # b > (|a|+1)^{2 c4 / eps}: compare log b against (2 c4 / eps) log(|a|+1)
-    logb = log_frac(Fraction(b), digits)
-    need = constants.c4 * 2 / eps * log_frac(Fraction(abs(a) + 1), digits)
-    hyp_b = need.lt(logb)
-    hyp_m = m >= 2 * t / eps
-
+    hyp_b = eps_threshold(thm1.constants, eps, digits).lt(log_frac(Fraction(b), digits))
     rhs = frac_pow(Fraction(1, b), m * (1 + eps), digits).hi
-    value = value_producer(work_sys, j, Fraction(aa, b))
-    offset = Fraction(n, B * b ** m)
-    ok, lhs_iv = _decide_distance(value, offset, rhs)
-    return CorollaryReport(eps=eps, rhs=rhs, status=TRISTATE_STATUS[ok],
-                           hyp_b_ok=hyp_b, hyp_m_ok=hyp_m, lhs=lhs_iv)
+    ok, lhs_iv = _decide_distance(thm1.value, Fraction(n, B * b ** m), rhs)
+    return CorollaryReport(eps=eps, rhs=rhs, status=TRISTATE_STATUS[ok], hyp_b_ok=hyp_b,
+                           hyp_m_ok=m >= 2 * thm1.constants.t / eps, lhs=lhs_iv)

@@ -347,3 +347,23 @@ def test_schedule_threshold_sweep(m, e):
                 assert rep.hyp_b_ok is above_n2
                 assert rep.desk_scale is not above_n1
                 assert (None if rep.h is None else (rep.h, rep.p, rep.q)) == sched
+
+
+@pytest.mark.parametrize("name", ["log1m", "polylog2", "binom:3/2"])
+def test_constants_do_not_depend_on_the_sign(name):
+    # callers pass a signed a to the unreduced system: every field but a and the name
+    # must equal those of |a| on the negated system
+    from dataclasses import fields
+
+    system = resolve_system(name)
+    cases = [(1, 10, 1, 1), (3, 10, 0, 2), (2, 7, Fraction(3, 2), 5)]
+    if name == "log1m":
+        cases.append((1, 10 ** 28, 1, 1))
+    for a, b, t, m in cases:
+        signed = compute_constants(system, -a, b, t, m, allow_desk_scale=True)
+        reduced = compute_constants(system.negated(), a, b, t, m, allow_desk_scale=True)
+        assert (signed.a, reduced.a) == (-a, a)
+        assert signed.desk_scale is (b < 10 ** 28)
+        for f in fields(signed):
+            if f.name not in ("a", "system_name"):
+                assert getattr(signed, f.name) == getattr(reduced, f.name), (a, b, t, m, f.name)

@@ -195,6 +195,17 @@ def test_theorem2_bound_check_report(polylog2):
     assert rep.hyp_growth_ok is False
     assert rep.hyp_digit_ok is False
     assert rep.digits_used >= 60
+    # a = -1 reads Li_2(-1/10) through the negated system; every field pinned
+    neg = theorem2_bound_check(polylog2, -1, 10, 1, 1, Fraction(1, 2), (20, 60))
+    assert (neg.system_name, neg.a, neg.b, neg.s, neg.t, neg.eps, neg.window) == (
+        "polylog2", -1, 10, 1, 1, Fraction(1, 2), (20, 60))
+    assert neg.profile.max_ratio == Fraction(2, 21)
+    assert neg.profile.empirical_vb == Fraction(131, 100)
+    counts = "12112111111111111111111111111111111111111"
+    assert neg.profile.values == [(20 + i, int(c)) for i, c in enumerate(counts)]
+    assert (neg.profile.t, neg.profile.window) == (1, (20, 60))
+    assert (neg.empirical_ok, neg.hyp_growth_ok, neg.hyp_digit_ok) == (True, False, False)
+    assert neg.digits_used == 80
 
 
 def test_theorem2_hyp_growth_decided_exactly():
@@ -211,6 +222,10 @@ def test_theorem2_bound_check_validation(polylog2):
         theorem2_bound_check(polylog2, 1, 10, 1, 0, Fraction(1, 2), (1, 5))
     with pytest.raises(PreconditionError):
         theorem2_bound_check(polylog2, 20, 10, 1, 1, Fraction(1, 2), (1, 5))
+    # b = 0 once divided by zero in z = a/b^s
+    for b, s in ((0, 1), (1, 1), (10, 0)):
+        with pytest.raises(PreconditionError):
+            theorem2_bound_check(polylog2, 1, b, s, 1, Fraction(1, 2), (1, 5))
 
 
 def _digits_from_floor_loop(scaled_floor: int, base: int, count: int) -> tuple[int, tuple[int, ...]]:

@@ -277,24 +277,24 @@ def test_certified_real_refines_and_caches():
     cr = CertifiedReal(producer, name="sqrt2")
     with precision_cap(64):
         wide = cr.enclosure(4)
-        narrow = cr.refine(Fraction(1, 10**10))
+        narrow = cr.enclosure(10)
     assert narrow in wide
     assert narrow.width <= Fraction(1, 10**10)
     assert narrow.lo ** 2 <= 2 <= narrow.hi ** 2
     # asking for less precision than cached re-uses the cache
     n_calls = len(calls)
-    cr.enclosure(2)
+    assert cr.enclosure(2) is narrow
     assert len(calls) == n_calls
 
 
 def test_certified_real_cap_enforced():
     cr = CertifiedReal(lambda d: frac_nth_root(Fraction(2), 2, d))
     with precision_cap(8), pytest.raises(InsufficientPrecisionError):
-        cr.refine(Fraction(1, 10**20))
+        cr.enclosure(20)
 
 
 def test_interval_refine_one_shot():
-    iv = CertifiedReal(lambda d: frac_nth_root(Fraction(5), 2, d)).refine(Fraction(1, 10**6))
+    iv = CertifiedReal(lambda d: frac_nth_root(Fraction(5), 2, d)).enclosure(6)
     assert iv.width <= Fraction(1, 10**6)
     assert iv.lo ** 2 <= 5 <= iv.hi ** 2
 

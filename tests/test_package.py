@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import gpade
@@ -36,6 +37,54 @@ def test_every_import_is_used():
     root = Path(__file__).resolve().parent.parent
     files = sorted((root / "src" / "gpade").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     assert [u for path in files for u in _unused_imports(path)] == []
+
+
+# defined in src/gpade, named nowhere in src/gpade, demos/ or perfbench/, and kept
+KEPT_UNREFERENCED = {
+    "GFunctionSystem.check_ode": "the tests' oracle for a system's differential equation",
+    "parse_interval": "reads an interval field of a report back",
+    "_Parser.error": "an argparse override: argparse calls it, so usage errors exit 2",
+}
+
+
+def _definitions(node: ast.AST, prefix: str = "") -> list[str]:
+    """Qualified names (Class.method, outer.inner) of the functions defined under `node`."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                out.append(name)
+            out += _definitions(child, name + ".")
+        else:
+            out += _definitions(child, prefix)
+    return out
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken, and dotted identifiers written as strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_used():
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "gpade").glob("*.py"))
+    readers = package + sorted((root / "demos").glob("*.py")) \
+        + sorted((root / "perfbench").glob("*.py"))
+    referenced = set().union(*(_references(ast.parse(path.read_text())) for path in readers))
+    unused = [name for path in package for name in _definitions(ast.parse(path.read_text()))
+              if not name.split(".")[-1].startswith("__") and name not in gpade.__all__
+              and name.split(".")[-1] not in referenced]
+    assert sorted(unused) == sorted(KEPT_UNREFERENCED)
 
 
 def _perfbench(monkeypatch, *modules: str) -> tuple:

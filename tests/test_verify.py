@@ -200,11 +200,34 @@ def test_corollary_certified_and_violated(log1m):
     # sharp n: the first 5 digits of log(9/10) approximate too well for eps=1/20
     bad = corollary_bound_check(log1m, 1, 10, 1, 5, -10536, Fraction(1, 20))
     assert bad.status == "violated"
+    # a = -1 reads log(11/10) through the negated system; every field pinned
+    e32 = Fraction(1, 10 ** 33)
+    for n, m, eps, rhs, status, lhs_lo in (
+            (10, 2, Fraction(1, 2), Fraction(1, 1000), "certified",
+             4689820195675139956047876719233 * e32),
+            (9531, 5, Fraction(1, 20),
+             Fraction(5623413251903490803949510397764812314682510430986916640816894237359,
+                      10 ** 72), "violated", 179804324860043952123280763 * e32)):
+        rep = corollary_bound_check(log1m, -1, 10, 1, m, n, eps)
+        assert (rep.eps, rep.rhs, rep.status) == (eps, rhs, status)
+        assert (rep.hyp_b_ok, rep.hyp_m_ok) == (False, True)
+        assert (rep.lhs.lo, rep.lhs.hi) == (lhs_lo, lhs_lo + 4 * e32)
+        exact = abs(mpmath.log(mpmath.mpf(11) / 10) - mpmath.mpf(n) / 10 ** m)
+        assert mpmath.mpf(rep.lhs.lo.numerator) / rep.lhs.lo.denominator <= exact
+        assert exact <= mpmath.mpf(rep.lhs.hi.numerator) / rep.lhs.hi.denominator
 
 
 def test_corollary_validation(log1m):
     with pytest.raises(PreconditionError):
         corollary_bound_check(log1m, 1, 10, 1, 1, 0, Fraction(0))
+
+
+def test_corollary_guarded_by_theorem1_checks(log1m):
+    # b = 1 once looped forever in t = ceil(log_b B); B = 0 divided by zero
+    for args in ((1, 1, 2, 1, 0), (1, 10, 0, 1, 0), (1, 10, 1, 0, 0), (0, 10, 1, 1, 0),
+                 (10, 10, 1, 1, 0)):
+        with pytest.raises(PreconditionError):
+            corollary_bound_check(log1m, *args, Fraction(1, 2))
 
 
 def test_chain_instances_all_certified(log1m, polylog2):
