@@ -73,6 +73,25 @@ def round_up(f: Fraction, digits: int) -> Fraction:
     return Fraction(-((-f.numerator) * scale // f.denominator), scale)
 
 
+# Fixed-point series sums carry this many units per unit of their last returned digit.  A sum
+# of n floored terms is off by less than 2n units, so an end is left unsettled only when a
+# rounding boundary lies within 2n + 1 units of it: an exact tie, or by chance with
+# probability under (2n + 1) / 10^12 per end.
+FIXED_GUARD = 10 ** 12
+
+
+def round_fixed(s: int, n: int, tail: int, digits: int) -> Optional[IntervalReal]:
+    """The round_out(digits) of [S, S + T], or None when the fixed-point bounds below
+    leave an end unsettled (Ziv's rounding test).  In units of 10^-digits / FIXED_GUARD the
+    caller proves s <= S < s + 2n (n floored terms, each less than 2 below its exact
+    value) and tail <= T < tail + 1."""
+    g, err = FIXED_GUARD, 2 * n
+    lo, hi = s // g, -(-(s + tail) // g)
+    if lo != (s + err) // g or hi != -(-(s + err + tail + 1) // g):
+        return None
+    return IntervalReal._of(lo, hi, 10 ** digits)
+
+
 def _parts(x) -> tuple[int, int, int]:
     """(lo, hi, den) of an interval operand; a scalar is a point."""
     if isinstance(x, IntervalReal):

@@ -1,13 +1,23 @@
-"""Certified enclosures for exp and log, from exact rational series.
+"""Certified enclosures for exp and log, from rational series with proved error bounds.
 
 Each function returns an IntervalReal whose endpoints are exact rationals on a
-decimal grid.  A series sums exactly, by binary splitting in polynomial.power_sum,
-through the first K >= 1 whose tail is at most 10^-(digits+1).  The integer sum
-(exp's times K!, over coefficients K!/i!) and the tail meet over one denominator and
-are rounded out once, so no Fraction is normalized on the way.  The tail bounds are:
+decimal grid.  A series is summed through the first K >= 1 whose tail is at most
+10^-r, r = digits+1, and [sum, sum + tail] is rounded out to the 10^-r grid.  The
+tail bounds are:
 
   exp(x), 0 <= x <= 1:   sum_{i>K} x^i/i! <= 2 x^{K+1}/(K+1)!
   atanh(u), |u| <= 1/2:  sum_{i>K} u^{2i+1}/(2i+1) <= |u|^{2K+3}/((2K+3)(1-u^2))
+
+The sum is first taken in fixed point, in units of 10^-r / G, G = intervals.FIXED_GUARD.
+Each term is the floor of the previous one times the term ratio (x/i for exp,
+u^2 (2k+1)/(2k+3) <= 1/4 for atanh), so each lies less than 2 below its exact value,
+and the K+1 terms less than 2(K+1) below the exact sum; the floored tail is short by
+less than 1.  `intervals.round_fixed` (Ziv's rounding test) returns the rounded ends
+when neither error window holds a grid point, as the exact sum rounds to them.
+Otherwise (an exact tie such as exp(0), or a window over a grid point) the exact sum
+runs: by binary splitting in polynomial.power_sum, the integer sum (exp's times K!,
+over coefficients K!/i!) and the tail meet over one denominator and are rounded out
+once.  Both paths give the same (lo, hi, den).
 
 Large arguments are reduced first (exp: integer part via powers of an e
 enclosure; log: powers of 10 and 2), so series arguments stay small.
@@ -23,22 +33,41 @@ from operator import floordiv
 from typing import Union
 
 from .errors import PreconditionError
-from .intervals import IntervalReal, _decimal_digits, _frac, settle
+from .intervals import FIXED_GUARD, IntervalReal, _decimal_digits, _frac, round_fixed, settle
 from .polynomial import power_sum
 
 Scalar = Union[int, Fraction]
 EPower = tuple[Fraction, Fraction]      # (coef, e_exp): coef * e^e_exp, coef > 0
 
 
-def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
-    """Enclosure of exp(x) for 0 <= x <= 1."""
-    a, b = x.numerator, x.denominator
-    # tail 2 x^{K+1}/(K+1)! = tn / (td 10^(digits+1)); the sum has coefficients 1/i!
-    tn, td, K = 2 * a * a * 10 ** (digits + 1), 2 * b * b, 1
+def _exp_tail(a: int, b: int, r: int) -> tuple[int, int, int]:
+    """(K, tn, td) for the first K >= 1 whose exp tail 2 x^{K+1}/(K+1)!, x = a/b, is
+    tn / (td 10^r) <= 10^-r."""
+    tn, td, K = 2 * a * a * 10 ** r, 2 * b * b, 1
     while tn > td:
         K += 1
         tn *= a
         td *= b * (K + 1)
+    return K, tn, td
+
+
+def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
+    """Enclosure of exp(x) for 0 <= x <= 1: the fixed-point sum, else the exact one."""
+    a, b, r = x.numerator, x.denominator, digits + 1
+    K, tn, td = _exp_tail(a, b, r)
+    # t_i = floor(t_{i-1} x / i) lies below W x^i/i! by less than 2, as x/i <= 1
+    t = s = 10 ** r * FIXED_GUARD
+    for i in range(1, K + 1):
+        t = t * a // (b * i)
+        s += t
+    iv = round_fixed(s, K + 1, tn * FIXED_GUARD // td, r)
+    return _exp_series_exact(x, digits) if iv is None else iv
+
+
+def _exp_series_exact(x: Fraction, digits: int) -> IntervalReal:
+    """The exact sum behind _exp_series_01, for ties its fixed-point bounds cannot round."""
+    a, b = x.numerator, x.denominator
+    K, tn, td = _exp_tail(a, b, digits + 1)
     # K! times the sum has integer coefficients K!/i!, made by exact division as summed: all
     # K + 1 at once, built up from K, would hold about K^2 log10(K) / 2 digits
     kfact = factorial(K)
@@ -62,6 +91,8 @@ def _e_power(n: int, guard: int) -> IntervalReal:
 
 def exp_frac(x: Scalar, digits: int) -> IntervalReal:
     """Enclosure of exp(x) for rational x, ~digits significant digits."""
+    if digits < 0:
+        raise PreconditionError("exp_frac needs digits >= 0")
     x = _frac(x)
     if x < 0:
         inner = exp_frac(-x, digits + 4)
@@ -72,22 +103,49 @@ def exp_frac(x: Scalar, digits: int) -> IntervalReal:
         return _exp_series_01(f, digits)
     # guard digits cover relative-error growth through the n-fold product
     guard = digits + _decimal_digits(n) + 6
+    if f == 0:
+        # exp(0) is the exact point 1, and round_sig reads normalized endpoints
+        return _e_power(n, guard).round_sig(digits + 2)
     return (_e_power(n, guard) * _exp_series_01(f, guard)).round_sig(digits + 2)
 
 
-def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
-    """Enclosure of atanh(u) for |u| <= 1/2."""
-    if abs(u) > Fraction(1, 2):
-        raise PreconditionError("atanh series argument must have |u| <= 1/2")
-    if u == 0:
-        return IntervalReal.point(0)
-    a, b = abs(u.numerator), u.denominator
-    # tail |u|^{2K+3}/((2K+3)(1-u^2)) = tn / ((2K+3) td 10^(digits+1))
-    tn, td, K = a ** 5 * 10 ** (digits + 1), b ** 3 * (b * b - a * a), 1
+def _atanh_tail(a: int, b: int, r: int) -> tuple[int, int, int]:
+    """(K, tn, td) for the first K >= 1 whose atanh tail |u|^{2K+3}/((2K+3)(1-u^2)),
+    |u| = a/b, is tn / ((2K+3) td 10^r) <= 10^-r."""
+    tn, td, K = a ** 5 * 10 ** r, b ** 3 * (b * b - a * a), 1
     while tn > (2 * K + 3) * td:
         K += 1
         tn *= a * a
         td *= b * b
+    return K, tn, td
+
+
+def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
+    """Enclosure of atanh(u) for |u| <= 1/2: the fixed-point sum, else the exact one."""
+    if abs(u) > Fraction(1, 2):
+        raise PreconditionError("atanh series argument must have |u| <= 1/2")
+    if u == 0:
+        return IntervalReal.point(0)
+    a, b, r = abs(u.numerator), u.denominator, digits + 1
+    K, tn, td = _atanh_tail(a, b, r)
+    # t_k lies below W |u|^{2k+1}/(2k+1) by less than 4/3: each floor loses under 1, and
+    # the ratio u^2 (2k+1)/(2k+3) of successive terms is at most 1/4
+    a2, b2 = a * a, b * b
+    t = s = 10 ** r * FIXED_GUARD * a // b
+    for k in range(K):
+        t = t * (a2 * (2 * k + 1)) // (b2 * (2 * k + 3))
+        s += t
+    iv = round_fixed(s, K + 1, tn * FIXED_GUARD // ((2 * K + 3) * td), r)
+    if iv is None:
+        return _atanh_series_exact(u, digits)
+    # atanh is odd: the enclosure of atanh(-|u|) is the negated one of atanh(|u|)
+    return iv if u > 0 else -iv
+
+
+def _atanh_series_exact(u: Fraction, digits: int) -> IntervalReal:
+    """The exact sum behind _atanh_series, for ties its fixed-point bounds cannot round."""
+    a, b = abs(u.numerator), u.denominator
+    K, tn, td = _atanh_tail(a, b, digits + 1)
     s, sd = power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
     # the sum u s / sd and the tail over one denominator; the tail lies on u's side
     sd, td = sd * u.denominator, td * (2 * K + 3) * 10 ** (digits + 1)
@@ -111,6 +169,8 @@ def log10_enclosure(digits: int) -> IntervalReal:
 
 def log_frac(x: Scalar, digits: int) -> IntervalReal:
     """Enclosure of log(x) for rational x > 0, width ~10^-digits."""
+    if digits < 0:
+        raise PreconditionError("log_frac needs digits >= 0")
     x = _frac(x)
     if x <= 0:
         raise PreconditionError("log_frac needs x > 0")

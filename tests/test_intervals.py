@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
-from gpade.intervals import (DEFAULT_DIGIT_CAP, PRECISION_CAP, _decimal_digits, decide,
-                             precision_cap, round_down, round_up, settle,
+from gpade.intervals import (DEFAULT_DIGIT_CAP, FIXED_GUARD, PRECISION_CAP, _decimal_digits,
+                             decide, precision_cap, round_down, round_fixed, round_up, settle,
                              width_digits)
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
@@ -374,3 +374,52 @@ def test_enclosure_beyond_the_cap_is_refused():
         cr.enclosure(16)
         with pytest.raises(InsufficientPrecisionError):
             cr.enclosure(17)
+
+
+def _fraction_in(lo, width, steps):
+    """lo + width * p/q for some 0 <= p < q: a point of [lo, lo + width)."""
+    return st.tuples(st.integers(0, steps - 1), st.just(steps)).map(
+        lambda pq: lo + width * Fraction(*pq))
+
+
+@st.composite
+def fixed_point_sums(draw):
+    """(s, n, tail, digits, S, T): exact S, T in the units of round_fixed that lie where
+    its bounds say, s near a multiple of FIXED_GUARD and s + tail near another one."""
+    n, digits = draw(st.integers(1, 5000)), draw(st.integers(0, 30))
+    m, near = draw(st.integers(-10 ** 6, 10 ** 6)), st.integers(-3 * n - 3, 3 * n + 3)
+    s = m * FIXED_GUARD + draw(near)
+    tail = draw(st.sampled_from([0, FIXED_GUARD // 2, FIXED_GUARD])) + draw(near)
+    tail = max(tail, 0)
+    S = draw(_fraction_in(s, 2 * n, 10 ** 6))
+    T = draw(_fraction_in(tail, 1, 10 ** 6))
+    return s, n, tail, digits, S, T
+
+
+@given(fixed_point_sums())
+# the sum's error is just below 2n and carries S over a boundary that s + n stays under
+@example((FIXED_GUARD - 2 * 7 + 1, 7, FIXED_GUARD // 2, 3,
+          Fraction(FIXED_GUARD), Fraction(FIXED_GUARD // 2)))
+# both errors just below their bounds carry S + T over a boundary that s + 2n + tail meets
+@example((5 * FIXED_GUARD + 100, 3, FIXED_GUARD - 106, 0,
+          Fraction(5 * FIXED_GUARD + 106) - Fraction(1, 1000),
+          Fraction(FIXED_GUARD - 106) + Fraction(999, 1000)))
+@settings(max_examples=300)
+def test_round_fixed_settles_only_what_its_bounds_decide(case):
+    s, n, tail, digits, S, T = case
+    iv = round_fixed(s, n, tail, digits)
+    if iv is not None:
+        unit = FIXED_GUARD * 10 ** digits
+        exact = IntervalReal(S / unit, (S + T) / unit).round_out(digits)
+        assert (iv._lo, iv._hi, iv._den) == (exact._lo, exact._hi, exact._den)
+
+
+def test_round_fixed_settles_away_from_boundaries():
+    g = FIXED_GUARD
+    iv = round_fixed(7 * g + g // 3, 1000, g // 3, 5)
+    assert (iv._lo, iv._hi, iv._den) == (7, 8, 10 ** 5)
+    # a sum or a sum plus tail on the grid (an exact tie), or an error window over a
+    # boundary, is left to the caller
+    assert round_fixed(7 * g, 1000, 0, 5) is None
+    assert round_fixed(7 * g - 1, 1, g // 3, 5) is None
+    assert round_fixed(7 * g + g // 3, 1, g - g // 3, 5) is None

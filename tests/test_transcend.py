@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor
 
 import mpmath
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval
 from gpade.errors import PreconditionError
 from gpade.intervals import precision_cap
-from gpade.transcend import _atanh_series, _e_enclosure, _e_power, _exp_series_01, le_epower, \
-    log2_enclosure, log10_enclosure
+from gpade import transcend
+from gpade.transcend import _atanh_series, _atanh_series_exact, _e_enclosure, _e_power, \
+    _exp_series_01, _exp_series_exact, le_epower, log2_enclosure, log10_enclosure
 
 mpmath.mp.dps = 60
 
@@ -194,7 +196,10 @@ _U60 = Fraction(123456789012345678901234567890123456789012345678901234567891,
 
 
 @given(unit_interval, st.integers(1, 400))
-@example(Fraction(0), 20)
+@example(Fraction(0), 20)               # this and the next three fall back to the exact sum
+@example(Fraction(1, 10), 1)
+@example(Fraction(1, 5), 3)
+@example(Fraction(1, 50), 7)
 @example(Fraction(1), 400)
 @example(Fraction(1), 1)
 @example(Fraction(1, 10 ** 6), 5)      # K = 1: the sum is 1 + x
@@ -206,6 +211,8 @@ def test_exp_series_equals_fraction_loop(x, digits):
 
 @given(half_interval, st.integers(1, 400))
 @example(Fraction(0), 20)
+@example(Fraction(1, 2), 1)            # S + T = 0.55 exactly: falls back to the exact sum
+@example(Fraction(-1, 2), 1)
 @example(Fraction(-1, 2), 300)
 @example(Fraction(1, 3), 400)
 @example(Fraction(-1, 3), 2)          # stops one term earlier than a (2K+1) tail would
@@ -214,3 +221,85 @@ def test_exp_series_equals_fraction_loop(x, digits):
 @settings(max_examples=40, deadline=None)
 def test_atanh_series_equals_fraction_loop(u, digits):
     assert _triple(_atanh_series(u, digits)) == _triple(_atanh_series_fraction(u, digits))
+
+
+# The fixed-point sums must round to the triples of the exact sums they fall back to, at
+# argument heights up to 70 digits, both signs and 0 to 2,000 digits.  The ties that the
+# fixed-point bounds cannot round are pinned above, against the Fraction loops.
+
+def _fraction_of_height(lo, hi):
+    """p/q with q of 1 to 70 digits and lo <= p/q <= hi."""
+    return st.integers(1, 70).flatmap(lambda h: st.integers(10 ** (h - 1), 10 ** h)).flatmap(
+        lambda q: st.builds(Fraction, st.integers(ceil(lo * q), floor(hi * q)), st.just(q)))
+
+
+_FALLBACK_EXP = [(Fraction(0), 0), (Fraction(0), 20), (Fraction(1, 10), 1),
+                 (Fraction(1, 5), 3), (Fraction(1, 50), 7)]
+_FALLBACK_ATANH = [(Fraction(1, 2), 1), (Fraction(-1, 2), 1)]
+
+
+@given(_fraction_of_height(0, 1), st.integers(0, 2000))
+@example(Fraction(1), 0)
+@example(Fraction(347, 811), 1900)
+@settings(max_examples=60, deadline=None)
+def test_exp_series_fixed_point_equals_exact_sum(x, digits):
+    assert _triple(_exp_series_01(x, digits)) == _triple(_exp_series_exact(x, digits))
+
+
+@given(_fraction_of_height(Fraction(-1, 2), Fraction(1, 2)).filter(bool), st.integers(0, 2000))
+@example(Fraction(-1, 2), 2000)
+@example(_U60, 76)
+@example(-_U60, 0)
+@settings(max_examples=60, deadline=None)
+def test_atanh_series_fixed_point_equals_exact_sum(u, digits):
+    assert _triple(_atanh_series(u, digits)) == _triple(_atanh_series_exact(u, digits))
+
+
+def _count_exact_calls(monkeypatch):
+    calls = []
+    for name in ("_exp_series_exact", "_atanh_series_exact"):
+        exact = getattr(transcend, name)
+        monkeypatch.setattr(transcend, name,
+                            lambda x, digits, exact=exact: calls.append(x) or exact(x, digits))
+    return calls
+
+
+def test_ties_reach_the_exact_sum(monkeypatch):
+    calls = _count_exact_calls(monkeypatch)
+    for x, digits in _FALLBACK_EXP:
+        _exp_series_01(x, digits)
+    for u, digits in _FALLBACK_ATANH:
+        _atanh_series(u, digits)
+    assert calls == [x for x, _ in _FALLBACK_EXP + _FALLBACK_ATANH]
+
+
+def test_deep_top_rungs_never_fall_back(monkeypatch):
+    # the highest precisions of perfbench's deep ladder, and atanh at log_interval(c6)'s
+    # 60-digit argument, round from the fixed-point sum alone
+    cases = [(_exp_series_01, _exp_series_exact, Fraction(347, 811), 1900),
+             (_atanh_series, _atanh_series_exact, Fraction(97, 811), 2000),
+             (_atanh_series, _atanh_series_exact, _U60, 76),
+             (_atanh_series, _atanh_series_exact, -_U60, 76)]
+    expected = [_triple(exact(x, digits)) for _, exact, x, digits in cases]
+    calls = _count_exact_calls(monkeypatch)
+    assert [_triple(fast(x, digits)) for fast, _, x, digits in cases] == expected
+    assert calls == []
+
+
+def test_exp_frac_of_an_integer_is_the_e_power():
+    # exp_frac(n) skips the series at 0, an exact tie: e^n times the point exp(0) = 1
+    # is the same interval
+    for n in (1, 2, 7, 66, 132, 1000):
+        for digits in (5, 16, 48, 72, 300):
+            guard = digits + len(str(n)) + 6
+            product = (_e_power(n, guard) * _exp_series_exact(Fraction(0), guard)).round_sig(digits + 2)
+            assert _triple(exp_frac(n, digits)) == _triple(product)
+
+
+def test_negative_precision_rejected():
+    for entry, x in [(log_frac, Fraction(7, 3)), (log_frac, Fraction(1, 3)), (log_frac, Fraction(1)),
+                     (exp_frac, Fraction(1, 3)), (exp_frac, Fraction(5)), (exp_frac, Fraction(-2))]:
+        with pytest.raises(PreconditionError):
+            entry(x, -1)
+    assert mp_frac(mpmath.log(mpmath.mpf(7) / 3)) in log_frac(Fraction(7, 3), 0)
+    assert mp_frac(mpmath.exp(mpmath.mpf(1) / 3)) in exp_frac(Fraction(1, 3), 0)
