@@ -91,7 +91,10 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
 
     The remainder bound |Q_k(z) F_j(z) - P_{j,k}(z)| <= bound is decided from
     48 digits of F_j(z) up; a cell the precision cap leaves open is undecided.
+    Every cell at one (system, j, z) reads the one value of the grid's table.
     """
+    values = {(arg, j, z): value_producer(system, j, z) for arg, system in systems.items()
+              for j in range(1, system.N + 1) for z in (Z_POINTS if remainders else ())}
     fails: Counter = Counter()
     undecided = 0
     first_failures: list[str] = []
@@ -121,7 +124,7 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
             for z in Z_POINTS if remainders else ():
                 bound, Qz = bound_remainder(fam, system, k, z), fam.Q(k)(z)
                 for j in range(1, system.N + 1):
-                    value, Pz = value_producer(system, j, z), fam.P(j, k)(z)
+                    value, Pz = values[arg, j, z], fam.P(j, k)(z)
                     ok, _ = decide(lambda dg: abs(value.enclosure(dg) * Qz - Pz),
                                    lambda iv: iv.le(bound), 48)
                     if ok is None:

@@ -15,6 +15,8 @@ Y = (F_0 = 1, F_1, ..., F_N) of power series solving Y' = A(z) Y:
 Dgrowth has one form, the closed form Dgrowth_sym = (coef, e_exp) for
 coef * e^e_exp: e^s for polylogs, a fitted rational (e_exp = 0) for binomial
 powers.  transcend.le_epower compares against its powers, exactly for a rational.
+A system caches coefficients and denominators, never values: each caller of
+verify.value_producer owns its CertifiedReal of F_j(z), at a z of either sign.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import PreconditionError
-from .intervals import CertifiedReal, frac_nth_root
+from .intervals import frac_nth_root
 from .polynomial import Poly, lcm_range, truncated_product
 from .transcend import EPower, le_epower
 
@@ -74,8 +76,6 @@ class GFunctionSystem:
         self.verified_range = 0
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
         self._denom_cache: dict[int, int] = {}
-        # (j, z) -> CertifiedReal of F_j(z), filled by verify.value_producer
-        self._value_cache: dict[tuple[int, Fraction], CertifiedReal] = {}
         if validate:
             self._validate()
 
@@ -149,8 +149,9 @@ class GFunctionSystem:
     def negated(self) -> "GFunctionSystem":
         """The system for Y(-z): coefficient signs flip at odd indices.
 
-        Used to reduce negative evaluation points to positive ones; growth
-        constants and denominators are unchanged.
+        Growth constants and denominators are unchanged.  The chain replay at
+        a < 0 builds its approximant here, at |a|: LLL's tie-break is not
+        sign-symmetric, so that approximant is not the one of Y at a.
         """
         base_coeff = self._coeff
 
@@ -169,10 +170,6 @@ class GFunctionSystem:
             validate=False)
         sysn.verified_range = self.verified_range
         return sysn
-
-    def sign_reduced(self, a: int) -> tuple["GFunctionSystem", int]:
-        """(system, |a|) whose value at |a|/b is this system's at a/b: negated when a < 0."""
-        return (self, a) if a > 0 else (self.negated(), -a)
 
     def __repr__(self) -> str:
         return f"GFunctionSystem({self.name!r}, N={self.N})"

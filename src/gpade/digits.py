@@ -19,11 +19,14 @@ at most (|a_{n+t*count} - a_n| + 1) / b, and the (b-1) form can fail only on
 a carry boundary {a_n, a_{n+t*count}} = {0, b-1}; it need not fail there.
 
 `gpade digits` and the Theorem 2 check share one set-up, digit_profile: the
-value F_j(a/b^s), its expansion and its repetition profile.
+value F_j(a/b^s) at the signed point, which the caller keeps and decides the
+block convergent on, its expansion and its repetition profile.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -82,7 +85,7 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
     (terminating values continue with zeros).  Certified values refine until
     the enclosure settles inside one cell at depth `count`; if the precision
     cap is hit first, the returned certified_len is the deepest level that
-    did settle.
+    did settle, read off the floors of the two endpoints at depth `count`.
     """
     if base < 2:
         raise PreconditionError("base must be >= 2")
@@ -97,12 +100,14 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
     floor, iv = decide(value.enclosure, lambda iv: settled_floor(iv * scale), need + 2)
     if floor is not None:
         return _digits_from_floor(floor, base, count)
-    # settle for the deepest level where the cell is unambiguous
-    for lvl in range(count - 1, 0, -1):
-        floor = settled_floor(iv * base ** lvl)
-        if floor is not None:
-            return _digits_from_floor(floor, base, lvl)
-    raise InsufficientDigitsError("no digit certifiable at precision cap")
+    # floor(x b^l) is floor(x b^count) cut to l digits, so the deepest level where the cell
+    # is unambiguous ends the common prefix of the endpoints' floors; bisect for its end
+    lo, hi = math.floor(iv.lo * scale), math.floor(iv.hi * scale)
+    split = bisect.bisect(range(count), False,
+                          key=lambda lvl: lo // base ** (count - lvl) != hi // base ** (count - lvl))
+    if split < 2:
+        raise InsufficientDigitsError("no digit certifiable at precision cap")
+    return _digits_from_floor(lo // base ** (count - split + 1), base, split - 1)
 
 
 def _digits_from_floor(scaled_floor: int, base: int, count: int,
@@ -278,13 +283,12 @@ def digit_profile(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
                   ) -> tuple[CertifiedReal, DigitString, RepetitionProfile]:
     """F_j(a/b^s) (j = N by default), with its base-b expansion and the repetition
     profile of pattern length t over `window`."""
-    if b < 2 or s < 1:
-        raise PreconditionError("need b >= 2 and s >= 1")
-    work, aa = sys.sign_reduced(a)
-    z = Fraction(aa, b ** s)
-    if work.C * z >= 1:
+    if b < 2 or s < 1 or a == 0:
+        raise PreconditionError("need b >= 2, s >= 1, a != 0")
+    z = Fraction(a, b ** s)
+    if sys.C * abs(z) >= 1:
         raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")
-    value = value_producer(work, sys.N if j is None else j, z)
+    value = value_producer(sys, sys.N if j is None else j, z)
     return (value, *profile_with_expansion(value, b, t, window, count=count))
 
 

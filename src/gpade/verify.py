@@ -9,6 +9,9 @@ interesting system, so property mode verifies the chain's inequalities
 directly (exact remainder-smallness at the chosen parameters) instead of
 pretending the schedule applies.  The Corollary is checked on the Theorem 1
 instance: it reads the constants, t and the value off verify_theorem1's report.
+
+F_j is evaluated at the signed point a/b, and each call decides on the one
+value it made with value_producer, so a report is a function of its arguments.
 """
 
 from __future__ import annotations
@@ -63,16 +66,12 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
-    """The system's one CertifiedReal for F_j(z); a new one raises when C|z| >= 1."""
-    cached = sys._value_cache.get((j, z))
-    if cached is not None:
-        return cached
+    """A new CertifiedReal for F_j(z), z of either sign; raises at once when C|z| >= 1."""
     z = Fraction(z)
     if z != 0 and sys.C * abs(z) >= 1:
         raise NoConvergentTailBound("C|z| >= 1: no convergent tail bound")
-    return sys._value_cache.setdefault((j, z), CertifiedReal(
-        lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
-        name=f"{sys.name}:F_{j}({z})"))
+    return CertifiedReal(lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
+                         name=f"{sys.name}:F_{j}({z})")
 
 
 @dataclass
@@ -194,22 +193,19 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
                     pqh: Optional[tuple[int, int, int]] = None) -> VerifyReport:
     """Certify |F_j(a/b) - n/(B b^m)| >= 1/(B b^m (|a|+1)^{c4 m}).
 
-    Negative a is reduced through the z -> -z system transform.  Given pqh,
-    the proof chain is also replayed at that (p, q, h): build the
-    approximant, iterate far enough for the nonvanishing scan, construct xi,
-    then certify remainder-smallness, the balance inequality, and the
-    resulting explicit distance bound.
+    Given pqh, the proof chain is also replayed at that (p, q, h), at |a| on
+    the system of Y(-z) when a < 0: build the approximant, iterate far enough
+    for the nonvanishing scan, construct xi, then certify remainder-smallness,
+    the balance inequality, and the resulting explicit distance bound.
     """
     if b < 2 or B < 1 or m < 1 or a == 0:
         raise PreconditionError("need b >= 2, B >= 1, m >= 1, a != 0")
     if abs(Fraction(a, b)) >= 1:
         raise PreconditionError("need |a/b| < 1")
     j = sys.N if j is None else j
-    work_sys, aa = sys.sign_reduced(a)
-    ab = Fraction(aa, b)
 
     t = _ceil_log(B, b)
-    constants = compute_constants(work_sys, aa, b, Fraction(t), m,
+    constants = compute_constants(sys, a, b, Fraction(t), m,
                                   digits=max(digits, 64), allow_desk_scale=True)
     # a tristate: any unmet hypothesis gives False, else an undecided hyp_m_ok gives None
     hyp_m = constants.hyp_m_ok
@@ -218,11 +214,12 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     exp_floor = (constants.c4.lo * m).numerator // (constants.c4.lo * m).denominator
     rhs = Fraction(1, B * b ** m * (abs(a) + 1) ** exp_floor)
 
-    value = value_producer(work_sys, j, ab)
+    value = value_producer(sys, j, Fraction(a, b))
     offset = Fraction(n, B * b ** m)
     ok, lhs_iv = _decide_distance(value, offset, rhs, max(16, digits // 2))
 
-    chain = None if pqh is None else replay_chain(work_sys, aa, b, B, m, n, j, pqh, value)
+    chain = None if pqh is None else replay_chain(sys if a > 0 else sys.negated(), abs(a), b,
+                                                  B, m, n, j, pqh, value)
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
                         lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],
@@ -250,8 +247,7 @@ def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
     scale_exp = p + (d - 1) * k
     Qk_val = fam.Q(k)(ab)
     Pjk_val = fam.P(j, k)(ab)
-    if value is None:
-        value = value_producer(sys, j, ab)
+    value = value_producer(sys, j, ab) if value is None else value
 
     # |R_{j,k}(a/b)| < (1/2) d_*^{-1} b^{-*} B^{-1}, R = Q_k F_j - P_{j,k}
     thresh16 = Fraction(1, 2 * dd * b ** scale_exp * B)
@@ -287,9 +283,7 @@ def scan_nearest(sys: GFunctionSystem, a: int, b: int, B: int, m: int,
     """Nearest integer to B b^m F_j(a/b); exact half-ties round to even."""
     if b < 2:
         raise PreconditionError("need b >= 2")
-    j = sys.N if j is None else j
-    work_sys, aa = sys.sign_reduced(a)
-    value = value_producer(work_sys, j, Fraction(aa, b))
+    value = value_producer(sys, sys.N if j is None else j, Fraction(a, b))
     scale = B * b ** m
     nearest, _ = settle(lambda dg: value.enclosure(dg) * scale, _settled_nearest, 16,
                         "nearest integer")

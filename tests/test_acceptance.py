@@ -126,6 +126,25 @@ def test_unsettled_remainder_is_undecided(log1m, monkeypatch):
     assert rec.status == "indeterminate"
 
 
+def test_pade_grid_makes_one_value_per_key(log1m, polylog2, monkeypatch):
+    # the grid decides many remainder cells on each (system, j, z), all from one table
+    made, reads = [], []
+
+    def producer(system, j, z):
+        made.append((system.name, j, z))
+        value = value_producer(system, j, z)
+        read = value.enclosure
+        value.enclosure = lambda dg: reads.append(dg) or read(dg)
+        return value
+
+    monkeypatch.setattr(acceptance, "value_producer", producer)
+    rec = acceptance.pade_grid({"log1m": log1m, "polylog2": polylog2}, grid(True),
+                               remainders=True)
+    assert rec.fields["remainder-bound-failures"] == 0
+    assert len(made) == len(set(made)) == 3 * len(Z_POINTS)    # j = 1, and j = 1, 2
+    assert len(reads) > 10 * len(made)
+
+
 def test_criterion_07_zero_estimate(suite):
     assert _grid(suite)["zero-estimate-failures"] == 0
 

@@ -190,6 +190,13 @@ def test_verify_property_mode_needs_pqh(capsys):
     assert capsys.readouterr().err.startswith("gpade: error: --property-mode needs")
 
 
+def test_digits_rejects_a_zero(capsys):
+    # F(0) is a rational: its expansion once ran to the cap, then failed on the repetition
+    code = main(["digits", "--system", "polylog2", "--a", "0", "--b", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "gpade: error: need b >= 2, s >= 1, a != 0\n"
+
+
 def test_digits_command(capsys):
     code, out = run_cli(capsys, "digits", "--system", "polylog2", "--a", "1",
                         "--b", "10", "--count", "120", "--window", "20:60", "--j", "2")

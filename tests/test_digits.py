@@ -18,7 +18,7 @@ from gpade import (
 )
 from gpade.digits import _digits_from_floor, _expand_exact
 from gpade.errors import InsufficientDigitsError, PreconditionError
-from gpade.intervals import precision_cap
+from gpade.intervals import decide, precision_cap, settled_floor, width_digits
 
 
 def test_exact_expansion_terminating():
@@ -98,6 +98,69 @@ def test_certified_expansion_no_digit_at_all():
     cr = CertifiedReal(lambda d: iv)
     with precision_cap(64), pytest.raises(InsufficientDigitsError):
         expand_digits(cr, 10, 4)
+
+
+def _expand_digits_loop(value, base: int, count: int):
+    """The expansion that, past the precision cap, tried every level from count - 1 down
+    with one multiplication each, kept as the reference for the common-prefix read."""
+    need = width_digits(Fraction(1, base ** (count + 1)))
+    floor, iv = decide(value.enclosure, lambda iv: settled_floor(iv * base ** count), need + 2)
+    if floor is not None:
+        return _digits_from_floor(floor, base, count)
+    for lvl in range(count - 1, 0, -1):
+        floor = settled_floor(iv * base ** lvl)
+        if floor is not None:
+            return _digits_from_floor(floor, base, lvl)
+    raise InsufficientDigitsError("no digit certifiable at precision cap")
+
+
+@st.composite
+def _stuck_enclosures(draw):
+    """(base, count, x, stuck) for an enclosure of x of width 2 10^-min(d, stuck):
+    x random, or a cell boundary k / base^r, where the endpoints' digits carry."""
+    base, count = draw(st.sampled_from([2, 10, 1000])), draw(st.integers(1, 200))
+    r = draw(st.integers(1, count))
+    x = draw(st.one_of(
+        st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+        st.integers(-base ** r, base ** r).map(lambda k: Fraction(k, base ** r))))
+    return base, count, x, draw(st.integers(1, 40))
+
+
+@given(_stuck_enclosures())
+@example((10, 50, Fraction(1, 10), 40))          # 0.0999... / 0.1000...: no digit settles
+@example((2, 200, Fraction(-3, 2 ** 70), 40))
+@example((1000, 30, Fraction(1, 7), 3))
+@settings(max_examples=80, deadline=None)
+def test_expansion_past_the_cap_equals_the_level_loop(case):
+    base, count, x, stuck = case
+
+    def value():
+        return CertifiedReal(lambda d: IntervalReal(x - Fraction(1, 10 ** min(d, stuck)),
+                                                    x + Fraction(1, 10 ** min(d, stuck))))
+
+    with precision_cap(40):
+        try:
+            want = _expand_digits_loop(value(), base, count)
+        except InsufficientDigitsError:
+            with pytest.raises(InsufficientDigitsError):
+                expand_digits(value(), base, count)
+            return
+        assert expand_digits(value(), base, count) == want
+
+
+def test_expansion_past_the_cap_reads_one_floor_per_escalation(monkeypatch):
+    # the level loop once made about count - cap settled_floor calls
+    calls = []
+    monkeypatch.setattr("gpade.digits.settled_floor",
+                        lambda iv: calls.append(iv) or settled_floor(iv))
+    x = Fraction(1, 7)
+    for count in (200, 2000):
+        calls.clear()
+        cr = CertifiedReal(lambda d: IntervalReal(x - Fraction(1, 10 ** d), x + Fraction(1, 10 ** d)))
+        with precision_cap(64):
+            ds = expand_digits(cr, 10, count)
+        assert len(calls) == 1
+        assert ds.certified_len == 63 and ds.as_str() == _expand_exact(x, 10, 63).as_str()
 
 
 def test_repetition_count_basics():
@@ -195,7 +258,7 @@ def test_theorem2_bound_check_report(polylog2):
     assert rep.hyp_growth_ok is False
     assert rep.hyp_digit_ok is False
     assert rep.digits_used >= 60
-    # a = -1 reads Li_2(-1/10) through the negated system; every field pinned
+    # a = -1 reads Li_2(-1/10) at the signed point; every field pinned
     neg = theorem2_bound_check(polylog2, -1, 10, 1, 1, Fraction(1, 2), (20, 60))
     assert (neg.system_name, neg.a, neg.b, neg.s, neg.t, neg.eps, neg.window) == (
         "polylog2", -1, 10, 1, 1, Fraction(1, 2), (20, 60))
@@ -226,6 +289,8 @@ def test_theorem2_bound_check_validation(polylog2):
     for b, s in ((0, 1), (1, 1), (10, 0)):
         with pytest.raises(PreconditionError):
             theorem2_bound_check(polylog2, 1, b, s, 1, Fraction(1, 2), (1, 5))
+    with pytest.raises(PreconditionError, match="a != 0"):
+        theorem2_bound_check(polylog2, 0, 10, 1, 1, Fraction(1, 2), (1, 5))
 
 
 def _digits_from_floor_loop(scaled_floor: int, base: int, count: int) -> tuple[int, tuple[int, ...]]:

@@ -1,5 +1,6 @@
-"""Golden-report gate: the README commands, a property-mode `verify` (the only
-chain-replay record), `suite --quick` and the demos stay byte-identical.
+"""Golden-report gate: the README commands, property-mode `verify` reports (the
+only chain-replay records, two of them at paper scale), `suite --quick` and the
+demos stay byte-identical.
 
 Each report under tests/oracles/golden/ was frozen from a known-good tree,
 together with the command's exit code.  A refactor that changes any byte of
@@ -8,6 +9,8 @@ since --from would echo a temporary path into the report.  The stdout of each
 script in demos/ is frozen under golden/demos/.  The full `suite`
 report is frozen here as suite.txt too; test_acceptance.py renders the suite
 it has already computed and compares it with that file, so it runs once.
+The benchmark checks `gpade suite` against its own copy,
+perfbench/data/suite_report.txt, which must equal suite.txt byte for byte.
 
 Regenerate the files (only when a report is meant to change) with:
 
@@ -23,8 +26,13 @@ import sys
 import pytest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "oracles", "golden")
+BENCH_SUITE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
+                           "suite_report.txt")
 DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 DEMOS = sorted(f[:-3] for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
+
+PAPER_SCALE = ["verify", "--system", "polylog2", "--a", "1", "--b", str(10 ** 400), "--B", "1",
+               "--scan-nearest", "--property-mode"]
 
 # name -> (argv, exit code)
 COMMANDS = {
@@ -44,6 +52,11 @@ COMMANDS = {
                 "--count", "120", "--window", "20:60", "--j", "2"], 0),
     "sqrt": (["sqrt", "--d", "2", "--convergents", "6", "--scan-m", "1:4"], 0),
     "suite-quick": (["suite", "--quick"], 0),
+    # paper scale: polylog2 at b = 10^400 with the constants schedule's (p, q, h) at t = 0
+    "verify-paper-m5": ([*PAPER_SCALE, "--m", "5", "--p", "13", "--q", "6", "--h", "3",
+                         "--max-precision", "6000"], 0),
+    "verify-paper-m10": ([*PAPER_SCALE, "--m", "10", "--p", "27", "--q", "12", "--h", "6",
+                          "--max-precision", "11000"], 0),
 }
 
 
@@ -70,6 +83,20 @@ def test_golden_report(name):
         golden = fh.read()
     assert code == expected_code
     assert out == golden
+
+
+def test_paper_scale_remainder_is_open_at_the_default_cap():
+    # about p log10 b = 5,200 digits are needed; the default cap leaves the step open
+    code, out = _run([*PAPER_SCALE, "--m", "5", "--p", "13", "--q", "6", "--h", "3"])
+    assert code == 0
+    chain = out.split("record: chain-replay\n")[1]
+    assert "remainder-small: indeterminate\n" in chain
+    assert chain.endswith("status: indeterminate\n")
+
+
+def test_suite_golden_equals_the_benchmark_copy():
+    with open(os.path.join(GOLDEN_DIR, "suite.txt"), "rb") as fh, open(BENCH_SUITE, "rb") as bench:
+        assert fh.read() == bench.read()
 
 
 @pytest.mark.parametrize("name", DEMOS)

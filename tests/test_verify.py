@@ -54,26 +54,38 @@ def test_eval_certified_domain(log1m):
     assert eval_certified(log1m, 0, Fraction(1, 2), Fraction(1, 10**6)).lo <= 1
 
 
-def test_value_producer_caches(log1m):
+def test_value_producer_returns_a_new_value(log1m):
     a = value_producer(log1m, 1, Fraction(1, 10))
     b = value_producer(log1m, 1, Fraction(1, 10))
-    assert a is b
+    assert a is not b
+    assert a.enclosure(40) == b.enclosure(40)
     with pytest.raises(NoConvergentTailBound):
         value_producer(log1m, 1, Fraction(2))
 
 
-def test_value_producer_keys_by_value_before_wrapping_z():
+def test_value_producer_takes_an_int_or_fraction_z():
     system = resolve_system("log1m")
-    assert value_producer(system, 1, 0) is value_producer(system, 1, Fraction(0))
-    tenth = value_producer(system, 1, Fraction(1, 10))
-    assert value_producer(system, 1, Fraction(1, 10)) is tenth
-    assert value_producer(system, 1, Fraction(2, 20)) is tenth
-    assert value_producer(system, 0, Fraction(1, 10)) is not tenth
+    assert value_producer(system, 1, 0).enclosure(8) == IntervalReal.point(0)
+    assert value_producer(system, 1, Fraction(2, 20)).name == "log1m:F_1(1/10)"
+    assert value_producer(system, 1, Fraction(-1, 10)).name == "log1m:F_1(-1/10)"
+    # the eager check: C|z| >= 1 raises before any enclosure is asked for
     with pytest.raises(NoConvergentTailBound):
-        value_producer(system, 1, Fraction(1))          # C|z| = 1, not cached
+        value_producer(system, 1, Fraction(1))
     with pytest.raises(NoConvergentTailBound):
         value_producer(system, 1, -2)
-    assert len(system._value_cache) == 3
+
+
+def test_reports_do_not_depend_on_earlier_calls():
+    # a 200-digit verify on the same system object once left a refined value behind,
+    # and a later Corollary check printed that value's 10^-100-wide enclosure
+    fresh = resolve_system("log1m")
+    want_cor = corollary_bound_check(fresh, 1, 10, 1, 2, -11, Fraction(1, 2)).lhs
+    want_thm = verify_theorem1(fresh, 1, 10, 1, 2, -11).lhs
+    used = resolve_system("log1m")
+    verify_theorem1(used, 1, 10, 1, 2, -11, digits=200)
+    assert corollary_bound_check(used, 1, 10, 1, 2, -11, Fraction(1, 2)).lhs == want_cor
+    assert verify_theorem1(used, 1, 10, 1, 2, -11).lhs == want_thm
+    assert want_cor.width < Fraction(1, 10 ** 30)
 
 
 def test_round_half_even():
@@ -86,7 +98,7 @@ def test_scan_nearest_values(log1m, polylog2):
     # 10 log(9/10) = -1.0536 -> -1;   10^6 Li_2(1/10) = 102617.79 -> 102618
     assert scan_nearest(log1m, 1, 10, 1, 1) == -1
     assert scan_nearest(polylog2, 1, 10, 1, 6, j=2) == 102618
-    # negative a goes through the sign-flipped system: 10 log(11/10) = 0.953
+    # negative a is evaluated at the signed point: 10 log(11/10) = 0.953
     assert scan_nearest(log1m, -1, 10, 1, 1) == 1
 
 
@@ -200,7 +212,7 @@ def test_corollary_certified_and_violated(log1m):
     # sharp n: the first 5 digits of log(9/10) approximate too well for eps=1/20
     bad = corollary_bound_check(log1m, 1, 10, 1, 5, -10536, Fraction(1, 20))
     assert bad.status == "violated"
-    # a = -1 reads log(11/10) through the negated system; every field pinned
+    # a = -1 reads log(11/10) at the signed point; every field pinned
     e32 = Fraction(1, 10 ** 33)
     for n, m, eps, rhs, status, lhs_lo in (
             (10, 2, Fraction(1, 2), Fraction(1, 1000), "certified",
@@ -329,4 +341,18 @@ def test_eval_certified_triples_equal_the_fraction_construction(point, width):
     name, j, z = point
     sys = _TRIPLE_SYSTEMS[name]
     got, want = eval_certified(sys, j, z, width), _eval_certified_from_fractions(sys, j, z, width)
+    assert (got._lo, got._hi, got._den) == (want._lo, want._hi, want._den)
+
+
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(0, 3), half_disk,
+       st.integers(1, 300).map(lambda k: Fraction(1, 10 ** k)))
+@example("polylog3", 3, Fraction(1, 2), Fraction(1, 10 ** 300))
+@example("binom:1/2", 1, Fraction(-1, 10), Fraction(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_eval_certified_at_minus_z_equals_the_negated_system_at_z(name, j, z, width):
+    # c_n (-|z|)^n and ((-1)^n c_n) |z|^n are the same integers, so the stored triples agree
+    sys = _REFERENCE_SYSTEMS[name]
+    j = min(j, sys.N)
+    got = eval_certified(sys, j, -abs(z), width)
+    want = eval_certified(sys.negated(), j, abs(z), width)
     assert (got._lo, got._hi, got._den) == (want._lo, want._hi, want._den)
