@@ -61,21 +61,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _approximant_record(system_arg: str, system: GFunctionSystem,
                         approx: PadeApproximant) -> Record:
-    rec = Record("approximant")
-    rec.add("system", system.name)
-    rec.add("system-arg", system_arg)
-    rec.add("N", system.N)
-    rec.add("d", system.d)
-    rec.add("p", approx.p)
-    rec.add("q", approx.q)
-    rec.add("h", approx.h)
-    rec.add("kernel-vector", " ".join(str(x) for x in approx.kernel_vector))
-    rec.add("Q", approx.Q)
-    for j in range(1, system.N + 1):
-        rec.add(f"P[{j}]", approx.P[j - 1])
-    rec.add("order-target", approx.p + approx.h + 1)
-    for j in range(1, system.N + 1):
-        rec.add(f"order-certified[{j}]", approx.order_certificates[j - 1])
+    rec = Record("approximant", {
+        "system": system.name, "system-arg": system_arg, "N": system.N, "d": system.d,
+        "p": approx.p, "q": approx.q, "h": approx.h,
+        "kernel-vector": " ".join(str(x) for x in approx.kernel_vector), "Q": approx.Q,
+        **{f"P[{j}]": P_j for j, P_j in enumerate(approx.P, 1)},
+        "order-target": approx.p + approx.h + 1,
+        **{f"order-certified[{j}]": o for j, o in enumerate(approx.order_certificates, 1)}})
     rec.add("Q-integral", approx.Q.is_integral(), approx.Q.is_integral())
     rec.add("P-cleared", approx.denominator_cleared, approx.denominator_cleared)
     rec.add("height-Q", approx.height_Q)
@@ -154,40 +146,20 @@ def cmd_zerocheck(args) -> list[Record]:
 def cmd_constants(args) -> list[Record]:
     system = resolve_system(args.system)
     config = ConstantsConfig(h0=args.h0, h1=args.h1, h2=args.h2)
-    rec = Record("constants")
-    rec.add("system", system.name)
-    rec.add("a", args.a)
-    rec.add("b", args.b)
-    rec.add("t", args.t)
-    rec.add("m", args.m)
-    rec.add("h0", config.h0)
-    rec.add("h1", config.h1)
-    rec.add("h2", config.h2)
     rep = compute_constants(system, args.a, args.b, args.t, args.m,
                             config, digits=args.precision,
                             allow_desk_scale=not args.strict)
-    rec.add("N", rep.N)
-    rec.add("d", rep.d)
-    rec.add("chi", rep.chi)
-    rec.add("chi-closed-form", fmt_sym(rep.chi_sym))
-    rec.add("c1", rep.c1)
-    rec.add("c1-closed-form", fmt_sym(rep.c1_sym))
-    rec.add("c2", rep.c2)
-    rec.add("c3", rep.c3)
-    rec.add("c5", rep.c5)
-    rec.add("c6", rep.c6)
-    rec.add("c7", rep.c7)
-    rec.add("c8", rep.c8)
-    rec.add("c4", rep.c4)
+    rec = Record("constants", {
+        "system": system.name, "a": args.a, "b": args.b, "t": args.t, "m": args.m,
+        "h0": config.h0, "h1": config.h1, "h2": config.h2, "N": rep.N, "d": rep.d,
+        "chi": rep.chi, "chi-closed-form": fmt_sym(rep.chi_sym),
+        "c1": rep.c1, "c1-closed-form": fmt_sym(rep.c1_sym),
+        **{c: getattr(rep, c) for c in ("c2", "c3", "c5", "c6", "c7", "c8", "c4")}})
     if rep.c4_reference is not None:
         rec.add("c4-closed-form", rep.c4_reference)
         rec.add("c4-closed-form-agrees", not rep.c4_discrepancy)
-    rec.add("y", rep.y)
-    rec.add("x", rep.x)
-    rec.add("h", rep.h)
-    rec.add("p", rep.p)
-    rec.add("q", rep.q)
-    rec.add("beta", rep.beta)
+    for key in ("y", "x", "h", "p", "q", "beta"):
+        rec.add(key, getattr(rep, key))
     # an unmet hypothesis qualifies the chain; an undecided hyp-m-ok does not
     rec.add("hyp-b-ok", rep.hyp_b_ok, rep.hyp_b_ok or STATUS_HYPOTHESIS_UNMET)
     rec.add("hyp-m-ok", rep.hyp_m_ok, rep.hyp_m_ok is not False or STATUS_HYPOTHESIS_UNMET)
@@ -209,33 +181,21 @@ def cmd_verify(args) -> list[Record]:
         pqh = (args.p, args.q, args.h)
     rep = verify_theorem1(system, args.a, args.b, args.B, args.m, n,
                           j=args.j, digits=args.precision, pqh=pqh)
-    rec = Record("diophantine-bound")
-    rec.add("system", rep.system_name)
-    rec.add("a", rep.a)
-    rec.add("b", rep.b)
-    rec.add("B", rep.B)
-    rec.add("m", rep.m)
-    rec.add("n", rep.n)
-    rec.add("j", rep.j)
-    rec.add("rhs-exponent", rep.rhs_exponent)
-    rec.add("rhs", rep.rhs if rep.rhs.denominator < 10 ** RHS_EXACT_DIGITS
-            else f"1/({rep.B}*{rep.b}^{rep.m}*{abs(rep.a) + 1}^{rep.rhs_exponent})")
+    rec = Record("diophantine-bound", {
+        "system": rep.system_name, **{k: getattr(rep, k) for k in ("a", "b", "B", "m", "n", "j")},
+        "rhs-exponent": rep.rhs_exponent,
+        "rhs": rep.rhs if rep.rhs.denominator < 10 ** RHS_EXACT_DIGITS
+        else f"1/({rep.B}*{rep.b}^{rep.m}*{abs(rep.a) + 1}^{rep.rhs_exponent})"})
     rec.add("lhs", rep.lhs, rep.status)
     rec.add("hypothesis-ok", rep.hypothesis_ok)
     rec.add("c4", rep.constants.c4)
     if rep.chain is None:
         return [rec]
     ch = rep.chain
-    chain = Record("chain-replay")
-    chain.add("p", ch.p)
-    chain.add("q", ch.q)
-    chain.add("h", ch.h)
-    chain.add("k", ch.k)
-    chain.add("xi", ch.witness.xi)
-    chain.add("U", ch.witness.U_jk)
-    chain.add("V", ch.witness.V_k)
-    chain.add("denominator-scale", ch.witness.denominator_scale)
-    chain.add("xi-divisible-by-b^m", ch.witness.divisible_by_bm)
+    chain = Record("chain-replay", {
+        "p": ch.p, "q": ch.q, "h": ch.h, "k": ch.k, "xi": ch.witness.xi, "U": ch.witness.U_jk,
+        "V": ch.witness.V_k, "denominator-scale": ch.witness.denominator_scale,
+        "xi-divisible-by-b^m": ch.witness.divisible_by_bm})
     # only a refuted distance is a violation; the steps before it can only leave it open
     chain.add("remainder-small", ch.eq_remainder_small, ch.eq_remainder_small or None)
     chain.add("balance", ch.eq_balance, ch.eq_balance or None)
@@ -271,15 +231,10 @@ def cmd_digits(args) -> list[Record]:
         repetition.add("empirical-vb", profile.empirical_vb)
 
     conv = theorem2_convergent(ds, value, args.t, window[0])
-    block = Record("block-convergent")
-    block.add("t", conv.t)
-    block.add("n", conv.n)
-    block.add("repetitions", conv.count)
-    block.add("p_n", conv.p_n)
-    block.add("q_n", conv.q_n)
-    block.add("bound-strict", conv.bound)
-    block.add("holds-strict", conv.holds)
-    block.add("bound-provable", conv.bound_relaxed)
+    block = Record("block-convergent", {
+        "t": conv.t, "n": conv.n, "repetitions": conv.count, "p_n": conv.p_n, "q_n": conv.q_n,
+        "bound-strict": conv.bound, "holds-strict": conv.holds,
+        "bound-provable": conv.bound_relaxed})
     block.add("holds-provable", conv.holds_relaxed, conv.holds_relaxed)
     block.add("distance", conv.distance)
     return [expansion, repetition, block]

@@ -9,16 +9,22 @@ polynomial-only recurrence
 
 with P_k = S_k / k!  (equal by induction: writing G_k for the rational
 iterate, the product rule collapses Dpoly S_k' - k Dpoly' S_k to
-Dpoly^{k+1} G_k').  Component 0 of P_k must coincide with the directly
-computed Q_k = (1/k!) Dpoly^k Q^(k), carried along as Dpoly^k and Q^(k); the
-mismatch check is a cheap arithmetic self-test and failing it means a bug,
-not bad input.  Each certified order ord_0(Q_k F_j - P_{j,k}) is read off one
-truncated product Q_k F_j.
+Dpoly^{k+1} G_k').  The recurrence runs on integer coefficient lists: Dpoly,
+Dpoly' and DA are cleared once by their common denominator c, and S_0 by the
+lcm L of its denominators, so S_k = V_k / (L c^k) with V_k integral, and each
+P_k is normalized once, as V_k / (L c^k k!).  Component 0 of P_k must
+coincide with the directly computed Q_k = (1/k!) Dpoly^k Q^(k), carried along
+as the `Poly`s Dpoly^k and Q^(k); the mismatch check is a cheap arithmetic
+self-test and failing it means a bug, not bad input.  Each F_j is cleared
+once per call, and each certified order ord_0(Q_k F_j - P_{j,k}) is an
+ascending scan of the coefficients of Q_k F_j against P_{j,k} (both over
+L c^k k!) that stops at the first one that differs.
 
 The zero estimate is checked computationally: the determinant of the first
 N+1 iterated columns factors as z^vanish_order * reduced with a degree bound
 ell0 on the reduced part; nonvanishing of that determinant is what guarantees
-`find_nonvanishing_index` terminates within ell0 + N steps.
+`find_nonvanishing_index` terminates within ell0 + N steps.  It is expanded on
+integer columns, each over the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -26,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
 
 from .catalog import GFunctionSystem
 from .errors import (DivisibilityError, InternalCertificateError, PreconditionError,
                      RankDeficiencyError)
 from .pade import PadeApproximant
-from .polynomial import Poly, truncated_product
+from .polynomial import Poly, cleared, int_product
 
 
 @dataclass
@@ -68,11 +74,41 @@ class IteratedFamily:
         return self.Pk[k][j - 1]
 
 
-def _order_verified(Q: Poly, F: Sequence[Fraction], P: Poly) -> int:
-    """First nonzero index of Q F - P below len(F) + max(val Q, 0), else that bound."""
-    n = len(F) + max(Q.valuation(), 0)
-    v = (truncated_product(Q, F, n) - P).valuation()
-    return v if 0 <= v < n else n
+def _over(p: Poly, den: int) -> list[int]:
+    """The integer coefficients of p * den; den a multiple of p.den."""
+    f = den // p.den
+    return [f * c for c in p.num]
+
+
+def _sum_of_products(terms) -> list[int]:
+    """The sum of m * a * b over the (m, a, b) in terms, on integer coefficient lists."""
+    out: list[int] = []
+    for m, a, b in terms:
+        ab = int_product(a, b)
+        out += [0] * (len(ab) - len(out))
+        for i, x in enumerate(ab):
+            out[i] += m * x
+    return out
+
+
+def _order_scan(q: list[int], f: list[int], lcd: int, pj: list[int]) -> int:
+    """The first t below n = len(f) + max(val q, 0) where coefficient t of q f / lcd
+    differs from pj[t], else n: the certified ord_0(Q_k F_j - P_{j,k})."""
+    m, rf = len(f), f[::-1]
+    n = m + next((i for i, x in enumerate(q) if x), 0)
+    for t in range(n):
+        lo = max(0, t - m + 1)
+        if sum(map(mul, q[lo:t + 1], rf[m - 1 - t + lo:])) != (pj[t] * lcd if t < len(pj) else 0):
+            return t
+    return n
+
+
+def _next_iterate(Dc: list[int], dDc: list[int], DAc: list[list[list[int]]],
+                  V: list[list[int]], k: int) -> list[list[int]]:
+    """V_{k+1} = Dc V_k' - k Dc' V_k - DAc V_k: the recurrence times L c^(k+1)."""
+    return [_sum_of_products([(1, Dc, [i * x for i, x in enumerate(v)][1:]), (-k, dDc, v),
+                              *[(-1, a, w) for a, w in zip(DAc[row], V)]])
+            for row, v in enumerate(V)]
 
 
 def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFamily:
@@ -81,54 +117,47 @@ def iterate(base: PadeApproximant, sys: GFunctionSystem, K: int) -> IteratedFami
         raise PreconditionError("K must be >= 0")
     N, p, q, h, d = sys.N, base.p, base.q, base.h, sys.d
     D = sys.D_poly
-    Dprime = D.derivative()
-
-    S: list[Poly] = [base.Q] + list(base.P)
+    # Dpoly, Dpoly' and DA times c, S_0 times L: S_k = V_k / (L c^k)
+    c = math.lcm(D.den, *[e.den for row in sys.DA for e in row])
+    Dc = _over(D, c)
+    dDc = [i * x for i, x in enumerate(Dc)][1:]
+    DAc = [[_over(e, c) for e in row] for row in sys.DA]
+    L = math.lcm(base.Q.den, *[pj.den for pj in base.P])
+    V = [_over(s, L) for s in [base.Q, *base.P]]
     Qk_list: list[Poly] = []
     Pk_list: list[list[Poly]] = []
     certs: list[IterationStepCert] = []
 
-    # F_j once, known past every P_{j,k}
+    # F_j cleared once, known past every P_{j,k}
     # (deg P_{j,k} <= p + (d-1)K can exceed p + h for late iterates)
     order = p + max(h, (d - 1) * K) + 1
-    F = {j: sys.series(j, order) for j in range(1, N + 1)}
+    F = [cleared(sys.series(j, order)) for j in range(1, N + 1)]
     Dk, Qder = Poly([1]), base.Q         # Dpoly^k and Q^(k)
 
     for k in range(K + 1):
         fact = math.factorial(k)
-        Pk = [s.scale(Fraction(1, fact)) for s in S]
-        Q_k = Pk[0]
+        # P_k = V_k / (L c^k k!); _of only cuts trailing zeros off the rows of V
+        Q_k, *P_k = [Poly._of(v, L * c ** k * fact) for v in V]
         if (Dk * Qder).scale(Fraction(1, fact)) != Q_k:
             raise InternalCertificateError(
                 f"iterate cross-check failed at k={k}: recurrence and direct Q_k differ")
-        P_k = Pk[1:]
 
         deg_ok = Q_k.degree() <= q + (d - 1) * k and all(
             pj.degree() <= p + (d - 1) * k for pj in P_k)
         dscale = sys.denominator(p + (d - 1) * k)
-        cleared = all(dscale % pj.den == 0 for pj in P_k)
+        P_cleared = all(dscale % pj.den == 0 for pj in P_k)
         targets = [max(0, p + h + 1 - k)] * N
-        verified = [_order_verified(Q_k, F[j], P_k[j - 1]) for j in range(1, N + 1)]
+        verified = [_order_scan(V[0], fi, lcd, V[j]) for j, (fi, lcd) in enumerate(F, 1)]
         certs.append(IterationStepCert(
             k=k, degree_ok=deg_ok, Q_integral=Q_k.is_integral(),
-            P_cleared=cleared, order_targets=targets, order_verified=verified))
+            P_cleared=P_cleared, order_targets=targets, order_verified=verified))
         Qk_list.append(Q_k)
         Pk_list.append(P_k)
 
         if k < K:
             Dk, Qder = Dk * D, Qder.derivative()
-            S = [D * s.derivative() - k * Dprime * s - _mat_vec(sys.DA, S, row)
-                 for row, s in enumerate(S)]
+            V = _next_iterate(Dc, dDc, DAc, V, k)
     return IteratedFamily(base=base, K=K, Qk=Qk_list, Pk=Pk_list, certs=certs)
-
-
-def _mat_vec(DA: list[list[Poly]], S: list[Poly], row: int) -> Poly:
-    acc = Poly()
-    for jj, s in enumerate(S):
-        entry = DA[row][jj]
-        if not entry.is_zero and not s.is_zero:
-            acc = acc + entry * s
-    return acc
 
 
 @dataclass
@@ -146,18 +175,12 @@ class ZeroEstimateCheck:
         return self.nonzero and self.degree_ok and self.vanish_order >= self.required_vanish
 
 
-def _poly_det(mat: list[list[Poly]]) -> Poly:
-    n = len(mat)
-    if n == 1:
+def _int_det(mat: list) -> list[int]:
+    """Laplace expansion along column 0 of a matrix of integer coefficient lists."""
+    if len(mat) == 1:
         return mat[0][0]
-    det = Poly()
-    for i in range(n):
-        if mat[i][0].is_zero:
-            continue
-        minor = [row[1:] for r, row in enumerate(mat) if r != i]
-        term = mat[i][0] * _poly_det(minor)
-        det = det + term if i % 2 == 0 else det - term
-    return det
+    return _sum_of_products([((-1) ** i, row[0], _int_det([r[1:] for r in mat[:i] + mat[i + 1:]]))
+                             for i, row in enumerate(mat) if row[0]])
 
 
 def ell0_bound(sys: GFunctionSystem, p: int, q: int, h: int) -> int:
@@ -170,9 +193,14 @@ def zero_estimate_check(fam: IteratedFamily, sys: GFunctionSystem) -> ZeroEstima
     N, p, q, h = sys.N, fam.base.p, fam.base.q, fam.base.h
     if fam.K < N:
         raise PreconditionError(f"family only reaches k={fam.K}; zero estimate needs k=0..{N}")
-    cols = range(N + 1)
-    mat = [[(fam.Q(k) if i == 0 else fam.P(i, k)) for k in cols] for i in range(N + 1)]
-    Delta = _poly_det(mat)
+    # column k over the lcm of its denominators; Delta over their product
+    cols, den = [], 1
+    for k in range(N + 1):
+        col = [fam.Q(k), *fam.Pk[k]]
+        m = math.lcm(*[e.den for e in col])
+        cols.append([_over(e, m) for e in col])
+        den *= m
+    Delta = Poly._of(_int_det(list(zip(*cols))), den)
     required = N * (p + h + 1) - N * (N + 1) // 2
     ell0 = ell0_bound(sys, p, q, h)
     if Delta.is_zero:

@@ -281,14 +281,18 @@ def digit_profile(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
                   window: tuple[int, int], j: Optional[int] = None,
                   count: Optional[int] = None
                   ) -> tuple[CertifiedReal, DigitString, RepetitionProfile]:
-    """F_j(a/b^s) (j = N by default), with its base-b expansion and the repetition
-    profile of pattern length t over `window`."""
+    """F_j(a/b^s) (j = N by default, 1 <= j <= N), with its base-b expansion and the
+    repetition profile of pattern length t over `window`."""
     if b < 2 or s < 1 or a == 0:
         raise PreconditionError("need b >= 2, s >= 1, a != 0")
+    j = sys.N if j is None else j
+    if not 1 <= j <= sys.N:
+        raise PreconditionError(f"component {j} is not in 1..{sys.N} (component 0 is "
+                                "the constant 1, whose expansion is rational)")
     z = Fraction(a, b ** s)
     if sys.C * abs(z) >= 1:
         raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")
-    value = value_producer(sys, sys.N if j is None else j, z)
+    value = value_producer(sys, j, z)
     return (value, *profile_with_expansion(value, b, t, window, count=count))
 
 

@@ -3,12 +3,16 @@
 Everything here is exact, and no floating point enters any code path.  A
 `Poly` is integer numerators over one positive common denominator, so its
 arithmetic works on ints and normalizes once per result; its `coeffs` is a
-read-only `fractions.Fraction` view.  `power_sum` is the one series kernel:
-`Poly` evaluation, F_j(z), exp and atanh all sum with it, it adds a long
-series by binary splitting, and it returns an unnormalized integer numerator
-and denominator, so a caller that rounds pays no gcd.  `truncated_product`
-is the one product of a `Poly` with a power series known to a finite order; a
-series is just its list of known (int or Fraction) coefficients.
+read-only `fractions.Fraction` view.  `int_product` is the one product kernel,
+a convolution of integer coefficient lists: `Poly` multiplication,
+`truncated_product`, and `derivation`'s iterate recurrence and determinant all
+call it.  `power_sum` is the one series kernel: `Poly` evaluation, F_j(z),
+exp and atanh all sum with it, it adds a long series by binary splitting, and
+it returns an unnormalized integer numerator and denominator, so a caller
+that rounds pays no gcd.  `cleared` puts a list of rationals over the lcm of
+their denominators.  `truncated_product` is the one product of a `Poly` with
+a power series known to a finite order; a series is just its list of known
+(int or Fraction) coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError
 
@@ -66,9 +70,8 @@ class Poly:
         """The polynomial with coefficients c_i / den (ints or Fractions), den > 0."""
         if den <= 0:
             raise PreconditionError("polynomial denominator must be positive")
-        cs = list(coeffs)
-        lcd = math.lcm(*[c.denominator for c in cs])
-        return cls._of([c.numerator * (lcd // c.denominator) for c in cs], den * lcd)
+        num, lcd = cleared(list(coeffs))
+        return cls._of(num, den * lcd)
 
     @classmethod
     def _of(cls, num: list[int], den: int) -> "Poly":
@@ -168,15 +171,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        a, b = self.num, other.num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return Poly._of(out, self.den * other.den)
+        return Poly._of(int_product(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -201,23 +196,39 @@ class Poly:
         return Fraction(s, d * self.den)
 
 
+def cleared(cs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(num, lcd): the ints num[i] = cs[i] * lcd over the lcm of the denominators."""
+    lcd = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (lcd // c.denominator) for c in cs], lcd
+
+
+def int_product(a: Sequence[int], b: Sequence[int], n: Optional[int] = None) -> list[int]:
+    """The coefficients of a * b below z^n (all of them by default), for integer
+    coefficient lists; [] when a or b is empty.  The package's one product kernel."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1 if n is None else n
+    out = [0] * n
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for t, cb in enumerate(islice(b, n - i), i):
+                out[t] += ca * cb
+    return out
+
+
 def truncated_product(p: Poly, f: Sequence[Fraction], n: int) -> Poly:
     """p * f mod z^n, for a series f known through z^(n-1).
 
     Coefficient z^t reads f only through z^(t - val p): with n + val p in place
     of n, f known through z^(n-1) still suffices, so p's valuation extends how
-    far the product is known.  Every order certificate is read off this.  The
-    series is cleared to integers once, and the product convolves integers.
+    far the product is known.  The series is cleared to integers once, and the
+    product is `int_product`.
     """
-    fs = f[: n - max(p.valuation(), 0)]
-    lcd = math.lcm(*[c.denominator for c in fs])
-    fi = [c.numerator * (lcd // c.denominator) for c in fs]
-    out = [0] * n
-    for i, c in enumerate(p.num[:n]):
-        if c:
-            for t in range(i, n):
-                out[t] += c * fi[t - i]
-    return Poly._of(out, lcd * p.den)
+    v = max(p.valuation(), 0)
+    if p.num and len(f) < n - v:
+        raise IndexError(f"series known through z^{len(f) - 1}, the product needs z^{n - v - 1}")
+    fi, lcd = cleared(f[: n - v])
+    return Poly._of(int_product(p.num, fi, n), lcd * p.den)
 
 
 def lcm_range(n: int) -> int:

@@ -197,6 +197,16 @@ def test_digits_rejects_a_zero(capsys):
     assert capsys.readouterr().err == "gpade: error: need b >= 2, s >= 1, a != 0\n"
 
 
+def test_digits_rejects_component_zero(capsys):
+    # F_0 = 1 is rational: its enclosure once straddled 1 up to the precision cap
+    code = main(["digits", "--system", "polylog2", "--a", "1", "--b", "10", "--j", "0",
+                 "--window", "1:5"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gpade: error: component 0 is not in 1..2 (component 0 is the constant 1, "
+        "whose expansion is rational)\n")
+
+
 def test_digits_command(capsys):
     code, out = run_cli(capsys, "digits", "--system", "polylog2", "--a", "1",
                         "--b", "10", "--count", "120", "--window", "20:60", "--j", "2")

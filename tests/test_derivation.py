@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +13,15 @@ from gpade import (
     ell0_bound,
     find_nonvanishing_index,
     iterate,
+    resolve_system,
+    truncated_product,
     zero_estimate_check,
 )
 from gpade import derivation
-from gpade.derivation import _order_verified
+from gpade.catalog import GFunctionSystem
+from gpade.derivation import IterationStepCert, _order_scan
 from gpade.errors import InternalCertificateError, KernelVectorError, PreconditionError
+from gpade.polynomial import cleared
 
 
 class SeriesTrunc:
@@ -94,9 +100,14 @@ def test_order_decay_by_one_per_step(polylog2):
 
 def test_cross_check_catches_corrupted_recurrence(log1m, monkeypatch):
     base = build_approximant(log1m, 4, 3, 2)
-    mat_vec = derivation._mat_vec
-    monkeypatch.setattr(derivation, "_mat_vec",
-                        lambda DA, S, row: mat_vec(DA, S, row) + Poly([1]))
+    step = derivation._next_iterate
+
+    def corrupted(*args):
+        V = step(*args)
+        V[0] = [(V[0][0] if V[0] else 0) + 1] + V[0][1:]
+        return V
+
+    monkeypatch.setattr(derivation, "_next_iterate", corrupted)
     with pytest.raises(InternalCertificateError, match="k=1"):
         iterate(base, log1m, 2)
 
@@ -121,6 +132,21 @@ def certificate_cases(draw):
     return Q, F, Poly(P)
 
 
+def order_scan(Q: Poly, F: list, P: Poly) -> int:
+    """`_order_scan` on integers: Q and P over one denominator, F cleared."""
+    den = math.lcm(Q.den, P.den)
+    fi, lcd = cleared(F)
+    return _order_scan([c * (den // Q.den) for c in Q.num], fi, lcd,
+                       [c * (den // P.den) for c in P.num])
+
+
+def reference_poly_order_verified(Q: Poly, F: list, P: Poly) -> int:
+    """The order certificate `iterate` read off `truncated_product` before its scan."""
+    n = len(F) + max(Q.valuation(), 0)
+    v = (truncated_product(Q, F, n) - P).valuation()
+    return v if 0 <= v < n else n
+
+
 @given(certificate_cases())
 @example((Poly(), [Fraction(1)] * 4, Poly())).via("zero Q, zero P")
 @example((Poly(), [Fraction(1)] * 4, Poly([0, 0, 5]))).via("zero Q")
@@ -128,7 +154,19 @@ def certificate_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_order_verified_equals_series_reference(case):
     Q, F, P = case
-    assert _order_verified(Q, F, P) == reference_order_verified(Q, F, P)
+    assert order_scan(Q, F, P) == reference_order_verified(Q, F, P)
+
+
+@given(certificate_cases(), st.lists(fractions, min_size=1, max_size=4))
+@example((Poly([1]), [Fraction(1)] * 2, Poly([1, 1])), [Fraction(5)]).via("deg P = n")
+@example((Poly(), [Fraction(1)] * 2, Poly()), [Fraction(0), Fraction(3)]).via("zero Q")
+@settings(max_examples=200, deadline=None)
+def test_order_scan_reads_nothing_past_n(case, tail):
+    # P of degree >= n = len(F) + max(val Q, 0): what is past n is never certified
+    Q, F, P = case
+    n = len(F) + max(Q.valuation(), 0)
+    P = Poly(list(P.coeffs) + [Fraction(0)] * (n - len(P.coeffs)) + tail)
+    assert order_scan(Q, F, P) == reference_poly_order_verified(Q, F, P)
 
 
 def reference_assemble(sys, p: int, h: int, v: list[int]):
@@ -178,6 +216,92 @@ def test_iterate_certificates_equal_series_reference(log1m, polylog2):
             assert cert.order_verified == [
                 reference_order_verified(fam.Q(k), sys.series(j, order), fam.P(j, k))
                 for j in range(1, sys.N + 1)]
+
+
+def reference_iterate(base, sys, K: int):
+    """The `Poly` recurrence `iterate` ran before its integer lists: Qk, Pk, certs."""
+    N, p, q, h, d = sys.N, base.p, base.q, base.h, sys.d
+    D = sys.D_poly
+    S = [base.Q] + list(base.P)
+    order = p + max(h, (d - 1) * K) + 1
+    F = {j: sys.series(j, order) for j in range(1, N + 1)}
+    Qk, Pk, certs = [], [], []
+    for k in range(K + 1):
+        Q_k, *P_k = [s.scale(Fraction(1, math.factorial(k))) for s in S]
+        dscale = sys.denominator(p + (d - 1) * k)
+        certs.append(IterationStepCert(
+            k=k,
+            degree_ok=Q_k.degree() <= q + (d - 1) * k and all(
+                pj.degree() <= p + (d - 1) * k for pj in P_k),
+            Q_integral=Q_k.is_integral(),
+            P_cleared=all(dscale % pj.den == 0 for pj in P_k),
+            order_targets=[max(0, p + h + 1 - k)] * N,
+            order_verified=[reference_poly_order_verified(Q_k, F[j], P_k[j - 1])
+                            for j in range(1, N + 1)]))
+        Qk.append(Q_k)
+        Pk.append(P_k)
+        S = [D * s.derivative() - k * D.derivative() * s
+             - sum((e * t for e, t in zip(sys.DA[row], S)), Poly())
+             for row, s in enumerate(S)]
+    return Qk, Pk, certs
+
+
+def reference_poly_det(mat: list) -> Poly:
+    """The `Poly` Laplace expansion `zero_estimate_check` ran before its integer columns."""
+    if len(mat) == 1:
+        return mat[0][0]
+    det = Poly()
+    for i in range(len(mat)):
+        minor = [row[1:] for r, row in enumerate(mat) if r != i]
+        term = mat[i][0] * reference_poly_det(minor)
+        det = det + term if i % 2 == 0 else det - term
+    return det
+
+
+@lru_cache(maxsize=None)
+def _system(name: str, third: bool) -> GFunctionSystem:
+    """A builtin, or the same system with Dpoly and DA divided by 3 (still Dpoly Y' = DA Y),
+    so that their common denominator c is not 1."""
+    sys = resolve_system(name)
+    if not third:
+        return sys
+    t = Fraction(1, 3)
+    return GFunctionSystem(sys.name + "/3", sys.N, sys._coeff, sys._denom,
+                           [[e.scale(t) for e in row] for row in sys.DA],
+                           sys.D_poly.scale(t), sys.d, sys.C, sys.Dgrowth_sym)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_iterate_equals_poly_reference(data):
+    name = data.draw(st.sampled_from(["log1m", "polylog2", "polylog3", "binom:1/2", "binom:7/4"]))
+    sys = _system(name, data.draw(st.booleans()))
+    h = data.draw(st.integers(0, 2))
+    q = data.draw(st.integers(sys.N * h, sys.N * h + 3))
+    p = data.draw(st.integers(q, q + 3))
+    K = data.draw(st.integers(sys.N, max(sys.N, ell0_bound(sys, p, q, h) + sys.N)))
+    base = build_approximant(sys, p, q, h)
+    fam = iterate(base, sys, K)
+    Qk, Pk, certs = reference_iterate(base, sys, K)
+    assert [(x.num, x.den) for x in fam.Qk] == [(x.num, x.den) for x in Qk]
+    assert [[(x.num, x.den) for x in row] for row in fam.Pk] == [
+        [(x.num, x.den) for x in row] for row in Pk]
+    assert fam.certs == certs
+    mat = [[Qk[k] if i == 0 else Pk[k][i - 1] for k in range(sys.N + 1)]
+           for i in range(sys.N + 1)]
+    Delta, ref = zero_estimate_check(fam, sys).Delta, reference_poly_det(mat)
+    assert (Delta.num, Delta.den) == (ref.num, ref.den)
+
+
+def test_iterate_clears_each_series_once(polylog2, monkeypatch):
+    base = build_approximant(polylog2, 6, 4, 2)
+    series, clear = polylog2.series, derivation.cleared
+    asked, clearings = [], []
+    monkeypatch.setattr(polylog2, "series", lambda j, order: asked.append(j) or series(j, order))
+    monkeypatch.setattr(derivation, "cleared", lambda cs: clearings.append(cs) or clear(cs))
+    iterate(base, polylog2, 5)
+    assert asked == [1, 2]
+    assert len(clearings) == 2
 
 
 def test_degree_growth_bound(polylog2):
