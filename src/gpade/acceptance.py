@@ -177,13 +177,13 @@ def li2_digits(li2: GFunctionSystem, quick: bool) -> list[Record]:
     digits.add("stable-at-doubled-depth", stable, stable)
     digits.add("prefix-matches-frozen-50", prefix_ok, prefix_ok)
 
+    # the doubled-depth expansion reaches past every block these cells read
     n_max = 40 if quick else 300
     t_list = (1, 2) if quick else (1, 2, 3)
-    ds = expand_digits(value, 10, n_max + 12 * max(t_list) + 60)
     provable_fail = strict_fail = undecided = 0
     for t in t_list:
         for n in range(1, n_max + 1):
-            conv = theorem2_convergent(ds, value, t, n)
+            conv = theorem2_convergent(ds2, value, t, n)
             provable_fail += conv.holds_relaxed is False
             strict_fail += conv.holds is False
             undecided += None in (conv.holds, conv.holds_relaxed)

@@ -10,7 +10,8 @@ Y = (F_0 = 1, F_1, ..., F_N) of power series solving Y' = A(z) Y:
     and the test oracle `check_ode` compares both sides as truncated products,
   * the degree budget d with deg Dpoly <= d and deg DA <= d - 1,
   * growth constants: rational C with |f_{j,n}| <= C^{n+1}, and Dgrowth
-    with d_n <= Dgrowth^{n+1}, certified over `verified_range`.
+    with d_n <= Dgrowth^{n+1}, certified over `verified_range`.  Every system
+    is built by `_build`, which verifies them once over 0..fit_range.
 
 Dgrowth has one form, the closed form Dgrowth_sym = (coef, e_exp) for
 coef * e^e_exp: e^s for polylogs, a fitted rational (e_exp = 0) for binomial
@@ -61,8 +62,7 @@ class GFunctionSystem:
     def __init__(self, name: str, N: int, coeff: Callable[[int, int], Fraction],
                  denom: Callable[[int], int], DA: list[list[Poly]], D_poly: Poly,
                  d: int, C: Fraction, Dgrowth_sym: EPower,
-                 params: Optional[dict] = None,
-                 validate: bool = True):
+                 params: Optional[dict] = None):
         self.name = name
         self.N = N
         self._coeff = coeff
@@ -76,8 +76,7 @@ class GFunctionSystem:
         self.verified_range = 0
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
         self._denom_cache: dict[int, int] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- structural validation -----------------------------------------
 
@@ -166,8 +165,7 @@ class GFunctionSystem:
         sysn = GFunctionSystem(
             name=self.name + "@neg", N=self.N, coeff=coeff, denom=self._denom,
             DA=[[-flip(p) for p in row] for row in self.DA], D_poly=flip(self.D_poly),
-            d=self.d, C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params),
-            validate=False)
+            d=self.d, C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params))
         sysn.verified_range = self.verified_range
         return sysn
 
@@ -244,7 +242,7 @@ def _log1m() -> GFunctionSystem:
         Dgrowth_sym=(Fraction(1), Fraction(1)))
 
 
-def _binom_power(alpha: Fraction, fit_range: int = DEFAULT_FIT_RANGE) -> GFunctionSystem:
+def _binom_power(alpha: Fraction, fit_range: int) -> GFunctionSystem:
     alpha = Fraction(alpha)
     if alpha.denominator == 1:
         raise PreconditionError(
@@ -275,22 +273,18 @@ def _binom_power(alpha: Fraction, fit_range: int = DEFAULT_FIT_RANGE) -> GFuncti
         # |binom(alpha,n)| <= prod(|alpha|+i)/n! <= 2^(ceil|alpha|+n), absorbed by C^(n+1)
         C = Fraction(2 ** (1 + math.ceil(abs(alpha))))
 
-    # fitted-and-certified denominator growth over the fit range
+    # denominator growth fitted over the fit range, which `_build` then verifies
     g = Fraction(1)
     for n in range(fit_range + 1):
         root = frac_nth_root(Fraction(denom(n)), n + 1, 3).hi
         if root > g:
             g = root
-    sysb = GFunctionSystem(
+    return GFunctionSystem(
         name=f"binom[{alpha}]", N=1, coeff=coeff, denom=denom,
         # ((1-z)^alpha)' = -alpha/(1-z) (1-z)^alpha; Dpoly = v(1-z)
         DA=[[Poly(), Poly()], [Poly(), Poly([-alpha * v])]],
         D_poly=Poly([v, -v]), d=1, C=C,
-        Dgrowth_sym=(g, Fraction(0)), params={"alpha": alpha, "fit_range": fit_range})
-    rep = verify_growth(sysb, fit_range)
-    if not rep.ok:
-        raise PreconditionError(f"fitted growth constants fail on fit range: {rep}")
-    return sysb
+        Dgrowth_sym=(g, Fraction(0)), params={"alpha": alpha})
 
 
 def _parse(kind: type, text, what: str):
@@ -301,25 +295,36 @@ def _parse(kind: type, text, what: str):
         raise PreconditionError(f"{what}: expected {kind.__name__}, got {text!r}") from None
 
 
+# family -> constructor(fit_range, **params); a constructor only builds, `_build` verifies
 _BUILTINS = {
-    "polylog": lambda **kw: _polylog(_parse(int, kw.get("s", 2), "param s")),
-    "log1m": lambda **kw: _log1m(),
-    "binom_power": lambda **kw: _binom_power(
-        _parse(Fraction, kw.get("alpha"), "param alpha"),
-        _parse(int, kw.get("fit_range", DEFAULT_FIT_RANGE), "fit_range")),
+    "polylog": lambda fit_range, **kw: _polylog(_parse(int, kw.get("s", 2), "param s")),
+    "log1m": lambda fit_range, **kw: _log1m(),
+    "binom_power": lambda fit_range, **kw: _binom_power(
+        _parse(Fraction, kw.get("alpha"), "param alpha"), fit_range),
 }
 
 
-def builtin(family: str, **params) -> GFunctionSystem:
-    """Construct a builtin family member; growth is verified over an initial range."""
+def _build(family: str, params: dict, overrides: dict) -> GFunctionSystem:
+    """The one construction path: build the family member, apply the `C` and
+    `Dgrowth` overrides, verify growth once over 0..fit_range, then apply `name`."""
     if family not in _BUILTINS:
         raise PreconditionError(f"unknown family {family!r}; have {sorted(_BUILTINS)}")
-    sys = _BUILTINS[family](**params)
-    if sys.verified_range == 0:
-        verify_growth(sys, DEFAULT_FIT_RANGE)
-        if sys.verified_range == 0:
-            raise PreconditionError(f"builtin {family} fails its own growth check")
+    fit_range = _parse(int, params.pop("fit_range", DEFAULT_FIT_RANGE), "fit_range")
+    if fit_range < 1:
+        raise PreconditionError(f"fit_range must be >= 1, got {fit_range}")
+    sys = _BUILTINS[family](fit_range, **params)
+    sys.C = overrides.get("C", sys.C)
+    sys.Dgrowth_sym = overrides.get("Dgrowth", sys.Dgrowth_sym)
+    rep = verify_growth(sys, fit_range)
+    if not rep.ok:
+        raise PreconditionError(f"growth constants of {sys.name} fail over 0..{fit_range}: {rep}")
+    sys.name = overrides.get("name", sys.name)
     return sys
+
+
+def builtin(family: str, **params) -> GFunctionSystem:
+    """A builtin family member, its growth verified over 0..fit_range (default 64)."""
+    return _build(family, params, {})
 
 
 # -- system definition files -------------------------------------------------
@@ -340,9 +345,9 @@ _FILE_KEYS = {"family": 2, "param": 3, "name": 2, "C": 2, "Dgrowth": 2, "fit_ran
 def parse_system(text: str) -> GFunctionSystem:
     """Parse a key-value system definition.
 
-    Lines: `family <name>` (required), `param <key> <value>`, and optional
-    overrides `name`, `C <rational>`, `Dgrowth <rational or e^k>`.
-    Overridden growth constants are re-verified before use.
+    Lines: `family <name>` (required), `param <key> <value>`, `fit_range <n>`,
+    and optional overrides `name`, `C <rational>`, `Dgrowth <rational or e^k>`.
+    Growth, overridden or not, is verified over 0..fit_range before use.
     """
     family = None
     params: dict = {}
@@ -374,21 +379,7 @@ def parse_system(text: str) -> GFunctionSystem:
             raise PreconditionError(f"unknown system-file key {key!r}")
     if family is None:
         raise PreconditionError("system file must name a family")
-    sys = builtin(family, **params)
-    if "name" in overrides:
-        sys.name = overrides["name"]
-    if "C" in overrides or "Dgrowth" in overrides:
-        if "C" in overrides:
-            if overrides["C"] < sys.C:
-                sys.verified_range = 0
-            sys.C = overrides["C"]
-        if "Dgrowth" in overrides:
-            sys.verified_range = 0
-            sys.Dgrowth_sym = overrides["Dgrowth"]
-        rep = verify_growth(sys, DEFAULT_FIT_RANGE)
-        if not rep.ok:
-            raise PreconditionError(f"overridden growth constants fail verification: {rep}")
-    return sys
+    return _build(family, params, overrides)
 
 
 def load_system(path: str) -> GFunctionSystem:

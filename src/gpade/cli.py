@@ -396,6 +396,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(2_000_000)
     try:
         args = _build_parser().parse_args(argv)
+        if args.precision < 1:
+            raise PreconditionError(f"--precision must be >= 1, got {args.precision}")
         with precision_cap(args.max_precision):
             records = args.handler(args)
         writer = ReportWriter(" ".join([str(a) for a in argv]), args.precision, records)

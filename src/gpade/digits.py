@@ -285,14 +285,10 @@ def digit_profile(sys: GFunctionSystem, a: int, b: int, s: int, t: int,
     repetition profile of pattern length t over `window`."""
     if b < 2 or s < 1 or a == 0:
         raise PreconditionError("need b >= 2, s >= 1, a != 0")
-    j = sys.N if j is None else j
-    if not 1 <= j <= sys.N:
-        raise PreconditionError(f"component {j} is not in 1..{sys.N} (component 0 is "
-                                "the constant 1, whose expansion is rational)")
     z = Fraction(a, b ** s)
     if sys.C * abs(z) >= 1:
         raise PreconditionError("C |a|/b^s must be < 1 for certified evaluation")
-    value = value_producer(sys, j, z)
+    value = value_producer(sys, sys.N if j is None else j, z)
     return (value, *profile_with_expansion(value, b, t, window, count=count))
 
 

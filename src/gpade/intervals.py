@@ -325,13 +325,13 @@ def decide(produce: Callable[[int], R], verdict: Callable[[R], Optional[V]],
            start: int) -> tuple[Optional[V], R]:
     """The one precision-escalation loop of the package.
 
-    Calls produce(d) at d = start, 2 start, 4 start, ..., clamped to the
-    precision cap, and returns (verdict(result), result) at the first verdict
-    that is not None, or (None, last result) once d has reached the cap.  No
-    call ever asks for more digits than the cap.
+    Calls produce(d) at d = start, 2 start, 4 start, ..., from at least 1 and
+    clamped to the precision cap, and returns (verdict(result), result) at the
+    first verdict that is not None, or (None, last result) once d has reached
+    the cap.  No call ever asks for more digits than the cap.
     """
     cap = PRECISION_CAP.get()
-    d = min(start, cap)
+    d = min(max(start, 1), cap)
     while True:
         result = produce(d)
         answer = verdict(result)

@@ -66,7 +66,11 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
-    """A new CertifiedReal for F_j(z), z of either sign; raises at once when C|z| >= 1."""
+    """A new CertifiedReal for F_j(z), 1 <= j <= N, z of either sign; raises at once
+    when j is out of range or C|z| >= 1."""
+    if not 1 <= j <= sys.N:
+        raise PreconditionError(f"component {j} is not in 1..{sys.N} (component 0 is "
+                                "the constant 1, whose expansion is rational)")
     z = Fraction(z)
     if z != 0 and sys.C * abs(z) >= 1:
         raise NoConvergentTailBound("C|z| >= 1: no convergent tail bound")
@@ -203,6 +207,7 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     if abs(Fraction(a, b)) >= 1:
         raise PreconditionError("need |a/b| < 1")
     j = sys.N if j is None else j
+    value = value_producer(sys, j, Fraction(a, b))
 
     t = _ceil_log(B, b)
     constants = compute_constants(sys, a, b, Fraction(t), m,
@@ -214,7 +219,6 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     exp_floor = (constants.c4.lo * m).numerator // (constants.c4.lo * m).denominator
     rhs = Fraction(1, B * b ** m * (abs(a) + 1) ** exp_floor)
 
-    value = value_producer(sys, j, Fraction(a, b))
     offset = Fraction(n, B * b ** m)
     ok, lhs_iv = _decide_distance(value, offset, rhs, max(16, digits // 2))
 

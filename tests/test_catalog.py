@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gpade import Poly, load_system, parse_system, resolve_system, verify_growth
-from gpade.catalog import builtin
+from gpade import Poly, catalog, load_system, parse_system, resolve_system, verify_growth
+from gpade.catalog import GFunctionSystem, builtin
 from gpade.errors import PreconditionError
 
 
@@ -167,3 +167,58 @@ def test_component_index_checked(log1m):
         log1m.coefficient(2, 0)
     with pytest.raises(PreconditionError):
         log1m.coefficient(1, -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: resolve_system("polylog2"),
+    lambda: resolve_system("polylog:3"),
+    lambda: resolve_system("binom:1/2"),
+    lambda: parse_system("family log1m\n"),
+    lambda: parse_system("family binom_power\nparam alpha 1/2\nC 2\nDgrowth 4\n"),
+], ids=["alias", "family-arg", "binom", "file", "file-overrides"])
+def test_every_system_verifies_growth_once(monkeypatch, build):
+    ranges = []
+
+    def counted(sys, n_max):
+        ranges.append(n_max)
+        return verify_growth(sys, n_max)
+
+    monkeypatch.setattr(catalog, "verify_growth", counted)
+    assert build().verified_range == 64
+    assert ranges == [64]
+
+
+def test_file_fit_range_is_the_verified_range():
+    assert parse_system("family log1m\nfit_range 10\n").verified_range == 10
+    # an override is verified over the file's range, not over the default 64
+    sysf = parse_system("family binom_power\nparam alpha 1/2\nfit_range 90\nDgrowth 4\n")
+    assert sysf.verified_range == 90
+    assert sysf.Dgrowth_sym == (4, 0)
+
+
+def test_file_fit_range_past_72_fails_at_73():
+    with pytest.raises(PreconditionError,
+                       match=r"^growth constants of polylog2 fail over 0\.\.100: .*"
+                             r"first_D_violation=73\)$"):
+        parse_system("family polylog\nname mylog\nfit_range 100\n")
+
+
+def test_negated_system_is_validated(log1m, monkeypatch):
+    validated = []
+    check = GFunctionSystem._validate
+
+    def counted(sys):
+        validated.append(sys.name)
+        check(sys)
+
+    monkeypatch.setattr(GFunctionSystem, "_validate", counted)
+    log1m.negated()
+    assert validated == ["log1m@neg"]
+
+
+@pytest.mark.parametrize("text", ["family binom_power\nparam alpha 1/2\nfit_range 0\n",
+                                  "family log1m\nfit_range -3\n"])
+def test_file_fit_range_below_1_is_rejected(text):
+    # a range of n = 0 alone once fitted and verified Dgrowth = 1 for binom[1/2], though d_1 = 2
+    with pytest.raises(PreconditionError, match=r"^fit_range must be >= 1, got -?\d+$"):
+        parse_system(text)

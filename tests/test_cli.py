@@ -207,6 +207,17 @@ def test_digits_rejects_component_zero(capsys):
         "whose expansion is rational)\n")
 
 
+@pytest.mark.parametrize("extra, j", [(("--n", "10"), "0"), (("--scan-nearest",), "2")])
+def test_verify_rejects_a_component_outside_1_to_N(capsys, extra, j):
+    # F_0 = 1 is rational: verify --j 0 once escalated to the cap and reported it violated
+    code = main(["verify", "--system", "log1m", "--a", "1", "--b", "10", "--B", "1",
+                 "--m", "1", *extra, "--j", j])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"gpade: error: component {j} is not in 1..1 (component 0 is the constant 1, "
+        "whose expansion is rational)\n")
+
+
 def test_digits_command(capsys):
     code, out = run_cli(capsys, "digits", "--system", "polylog2", "--a", "1",
                         "--b", "10", "--count", "120", "--window", "20:60", "--j", "2")
@@ -285,9 +296,12 @@ def _constants(system, *extra):
     (None, _constants("log1m", "--h0", "zz")),
     (None, _constants("log1m", "--h2", "1/0x")),
     (None, ("sqrt", "--d", "abc")),
+    (b"family polylog\nfit_range abc\n", _constants("{file}")),
+    (b"family binom_power\nparam alpha 1/2\nfit_range 0\n", _constants("{file}")),
+    (None, _constants("log1m", "--precision", "0")),
 ], ids=["family-no-name", "param-no-value", "param-not-int", "C-not-rational",
         "Dgrowth-not-rational", "not-utf8", "directory", "polylog-spec", "binom-spec",
-        "t", "h0", "h2", "sqrt-d"])
+        "t", "h0", "h2", "sqrt-d", "fit-range-not-int", "fit-range-0", "precision-0"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, system_file, args):
     path = tmp_path / "system.txt"
     if system_file is not None:

@@ -26,6 +26,12 @@ def li2_report(polylog2, **kw):
     return compute_constants(polylog2, 1, 10, 1, 1, allow_desk_scale=True, **kw)
 
 
+def test_schedule_at_precision_zero_equals_precision_64(polylog2):
+    # a start of 0 digits once never escalated, so the floor of h hung
+    at = {dg: compute_constants(polylog2, 1, 10 ** 400, 1, 100, digits=dg) for dg in (0, 64)}
+    assert (at[0].h, at[0].p, at[0].q) == (at[64].h, at[64].p, at[64].q) == (64, 291, 133)
+
+
 def test_c1_symbolic_form(polylog2):
     r = li2_report(polylog2)
     assert r.c1_sym == (Fraction(4), Fraction(66))

@@ -340,6 +340,20 @@ def test_decide_clamps_to_the_cap_and_never_exceeds_it():
     assert decide(lambda d: 0, lambda r: r, 1) == (0, 0)
 
 
+@pytest.mark.parametrize("start", [0, -5])
+def test_decide_from_a_start_below_one_still_reaches_the_cap(start):
+    # a start of 0 once doubled to 0 forever, so an open decision never returned
+    calls = []
+
+    def produce(d):
+        calls.append(d)
+        return d
+
+    with precision_cap(100):
+        assert decide(produce, lambda d: None, start) == (None, 100)
+    assert calls == [1, 2, 4, 8, 16, 32, 64, 100]     # ceil(log2 100) + 1 calls
+
+
 def test_settle_returns_the_decision_or_raises_at_the_cap():
     def produce(d):
         return d
