@@ -1,17 +1,22 @@
-"""Catalog of G-function systems: builtins, growth verification, file loading.
+"""Catalog of G-function systems: the family table, growth verification, specs and files.
 
 A system packages everything the approximant machinery needs about a vector
 Y = (F_0 = 1, F_1, ..., F_N) of power series solving Y' = A(z) Y:
 
   * exact Taylor coefficients f_{j,n} and common denominators d_n
-    (d_n * f_{j,m} is an integer for every j and every m <= n),
+    (d_n * f_{j,m} is an integer for every j and every m <= n); component 0,
+    the constant 1, is supplied by `GFunctionSystem` itself,
   * the system itself as Dpoly and the polynomial matrix DA = Dpoly * A
     (row 0 identically zero), so that Dpoly Y' = DA Y; A is never formed,
     and the test oracle `check_ode` compares both sides as truncated products,
   * the degree budget d with deg Dpoly <= d and deg DA <= d - 1,
   * growth constants: rational C with |f_{j,n}| <= C^{n+1}, and Dgrowth
-    with d_n <= Dgrowth^{n+1}, certified over `verified_range`.  Every system
-    is built by `_build`, which verifies them once over 0..fit_range.
+    with d_n <= Dgrowth^{n+1}, certified over `verified_range`.
+
+`_FAMILIES` gives each family's one parameter (or none) and constructor.
+`_build`, its only reader, builds every system and verifies growth once over
+0..fit_range.  A spec `family[:value]`, or an alias of one, builds exactly as
+the system file `family F` / `param <its name> value` would.
 
 Dgrowth has one form, the closed form Dgrowth_sym = (coef, e_exp) for
 coef * e^e_exp: e^s for polylogs, a fitted rational (e_exp = 0) for binomial
@@ -54,15 +59,16 @@ class GrowthReport:
 class GFunctionSystem:
     """A concrete G-function system; see module docstring for the contract.
 
-    Instances cache coefficients and denominators internally; they are not
-    safe for concurrent mutation but all public methods are read-only after
-    construction except verify_growth's monotone verified_range update.
+    `coeff(j, n)` gives f_{j,n} for the components j >= 1 only: component 0,
+    the constant 1, is supplied here.  Instances cache coefficients and
+    denominators internally and are not safe for concurrent mutation.  Besides
+    the caches, only `_build` (the `C`, `Dgrowth_sym` and `name` of a system
+    file) and verify_growth's monotone `verified_range` update write to one.
     """
 
     def __init__(self, name: str, N: int, coeff: Callable[[int, int], Fraction],
                  denom: Callable[[int], int], DA: list[list[Poly]], D_poly: Poly,
-                 d: int, C: Fraction, Dgrowth_sym: EPower,
-                 params: Optional[dict] = None):
+                 d: int, C: Fraction, Dgrowth_sym: EPower):
         self.name = name
         self.N = N
         self._coeff = coeff
@@ -72,7 +78,6 @@ class GFunctionSystem:
         self.d = d
         self.C = Fraction(C)
         self.Dgrowth_sym = Dgrowth_sym
-        self.params = dict(params or {})
         self.verified_range = 0
         self._coeff_cache: dict[tuple[int, int], Fraction] = {}
         self._denom_cache: dict[int, int] = {}
@@ -93,13 +98,11 @@ class GFunctionSystem:
                     raise PreconditionError("deg(DA entry) must be <= d - 1")
         if self.C < 1:
             raise PreconditionError("C >= 1 required (normalize upward)")
-        if self.coefficient(0, 0) != 1:
-            raise PreconditionError("component 0 must be the constant function 1")
 
     # -- coefficients and denominators -----------------------------------
 
     def coefficient(self, j: int, n: int) -> Fraction:
-        """Taylor coefficient f_{j,n} of component j."""
+        """Taylor coefficient f_{j,n} of component j; component 0 is the constant 1."""
         if not (0 <= j <= self.N):
             raise PreconditionError(f"component {j} out of range 0..{self.N}")
         if n < 0:
@@ -107,7 +110,7 @@ class GFunctionSystem:
         key = (j, n)
         got = self._coeff_cache.get(key)
         if got is None:
-            got = Fraction(self._coeff(j, n))
+            got = Fraction(self._coeff(j, n)) if j else Fraction(1 if n == 0 else 0)
             self._coeff_cache[key] = got
         return got
 
@@ -165,7 +168,7 @@ class GFunctionSystem:
         sysn = GFunctionSystem(
             name=self.name + "@neg", N=self.N, coeff=coeff, denom=self._denom,
             DA=[[-flip(p) for p in row] for row in self.DA], D_poly=flip(self.D_poly),
-            d=self.d, C=self.C, Dgrowth_sym=self.Dgrowth_sym, params=dict(self.params))
+            d=self.d, C=self.C, Dgrowth_sym=self.Dgrowth_sym)
         sysn.verified_range = self.verified_range
         return sysn
 
@@ -203,7 +206,7 @@ def verify_growth(sys: GFunctionSystem, n_max: int) -> GrowthReport:
     return rep
 
 
-# -- builtin families -------------------------------------------------------
+# -- families ----------------------------------------------------------------
 
 
 def _polylog(s: int) -> GFunctionSystem:
@@ -211,8 +214,6 @@ def _polylog(s: int) -> GFunctionSystem:
         raise PreconditionError("polylog weight must be >= 1")
 
     def coeff(j: int, n: int) -> Fraction:
-        if j == 0:
-            return Fraction(1 if n == 0 else 0)
         return Fraction(0) if n == 0 else Fraction(1, n ** j)
 
     def denom(n: int) -> int:
@@ -226,13 +227,11 @@ def _polylog(s: int) -> GFunctionSystem:
     return GFunctionSystem(
         name=f"polylog{s}", N=s, coeff=coeff, denom=denom,
         DA=DA, D_poly=Poly([0, 1, -1]), d=2, C=Fraction(1),
-        Dgrowth_sym=(Fraction(1), Fraction(s)), params={"s": s})
+        Dgrowth_sym=(Fraction(1), Fraction(s)))
 
 
 def _log1m() -> GFunctionSystem:
     def coeff(j: int, n: int) -> Fraction:
-        if j == 0:
-            return Fraction(1 if n == 0 else 0)
         return Fraction(0) if n == 0 else Fraction(-1, n)
 
     # log(1-z)' = -1/(1-z); Dpoly = 1-z
@@ -254,8 +253,6 @@ def _binom_power(alpha: Fraction, fit_range: int) -> GFunctionSystem:
     denoms: list[int] = [1]
 
     def coeff(j: int, n: int) -> Fraction:
-        if j == 0:
-            return Fraction(1 if n == 0 else 0)
         while len(coeffs) <= n:
             i = len(coeffs) - 1
             coeffs.append(coeffs[-1] * (alpha - i) / (i + 1) * -1)
@@ -284,7 +281,7 @@ def _binom_power(alpha: Fraction, fit_range: int) -> GFunctionSystem:
         # ((1-z)^alpha)' = -alpha/(1-z) (1-z)^alpha; Dpoly = v(1-z)
         DA=[[Poly(), Poly()], [Poly(), Poly([-alpha * v])]],
         D_poly=Poly([v, -v]), d=1, C=C,
-        Dgrowth_sym=(g, Fraction(0)), params={"alpha": alpha})
+        Dgrowth_sym=(g, Fraction(0)))
 
 
 def _parse(kind: type, text, what: str):
@@ -295,50 +292,52 @@ def _parse(kind: type, text, what: str):
         raise PreconditionError(f"{what}: expected {kind.__name__}, got {text!r}") from None
 
 
-# family -> constructor(fit_range, **params); a constructor only builds, `_build` verifies
-_BUILTINS = {
-    "polylog": lambda fit_range, **kw: _polylog(_parse(int, kw.get("s", 2), "param s")),
-    "log1m": lambda fit_range, **kw: _log1m(),
-    "binom_power": lambda fit_range, **kw: _binom_power(
-        _parse(Fraction, kw.get("alpha"), "param alpha"), fit_range),
+# family -> (its one parameter as (name, type, default), the default None when
+# it is required, or None when it takes none; constructor(value, fit_range)).
+# A constructor only builds; `_build`, the only reader of this table, verifies.
+_FAMILIES = {
+    "polylog": (("s", int, 2), lambda s, fit_range: _polylog(s)),
+    "log1m": (None, lambda _, fit_range: _log1m()),
+    "binom_power": (("alpha", Fraction, None), _binom_power),
 }
 
 
-def _build(family: str, params: dict, overrides: dict) -> GFunctionSystem:
-    """The one construction path: build the family member, apply the `C` and
-    `Dgrowth` overrides, verify growth once over 0..fit_range, then apply `name`."""
-    if family not in _BUILTINS:
-        raise PreconditionError(f"unknown family {family!r}; have {sorted(_BUILTINS)}")
-    fit_range = _parse(int, params.pop("fit_range", DEFAULT_FIT_RANGE), "fit_range")
+def _build(family: str, params: dict, settings: dict) -> GFunctionSystem:
+    """The one construction path: build the family member from `params` (name ->
+    text; the key None holds a `family:value` spec's value), apply the file's
+    `C` and `Dgrowth`, verify growth once over 0..fit_range, then apply `name`."""
+    if family not in _FAMILIES:
+        raise PreconditionError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
+    param, make = _FAMILIES[family]
+    name, kind, default = param or (None, None, None)
+    for key, text in params.items():
+        if name is None or key not in (None, name):
+            takes = f"param {name!r}" if name else "no param"
+            got = f"the value {text!r}" if key is None else repr(key)
+            raise PreconditionError(f"family {family} takes {takes}, not {got}")
+    text = next(iter(params.values()), default)
+    if name is not None and text is None:
+        raise PreconditionError(f"family {family} needs param {name!r}")
+    value = _parse(kind, text, f"param {name}") if name else None
+    fit_range = settings.get("fit_range", DEFAULT_FIT_RANGE)
     if fit_range < 1:
         raise PreconditionError(f"fit_range must be >= 1, got {fit_range}")
-    sys = _BUILTINS[family](fit_range, **params)
-    sys.C = overrides.get("C", sys.C)
-    sys.Dgrowth_sym = overrides.get("Dgrowth", sys.Dgrowth_sym)
+    sys = make(value, fit_range)
+    sys.C = settings.get("C", sys.C)
+    sys.Dgrowth_sym = settings.get("Dgrowth", sys.Dgrowth_sym)
     rep = verify_growth(sys, fit_range)
     if not rep.ok:
         raise PreconditionError(f"growth constants of {sys.name} fail over 0..{fit_range}: {rep}")
-    sys.name = overrides.get("name", sys.name)
+    sys.name = settings.get("name", sys.name)
     return sys
 
 
-def builtin(family: str, **params) -> GFunctionSystem:
-    """A builtin family member, its growth verified over 0..fit_range (default 64)."""
-    return _build(family, params, {})
+# -- system definition files and specs ---------------------------------------
 
+# alias -> the spec it stands for, whole (`polylog2`) or as a family name (`binom`)
+_ALIASES = {"binom": "binom_power", **{f"polylog{s}": f"polylog:{s}" for s in range(1, 5)}}
 
-# -- system definition files -------------------------------------------------
-
-_ALIASES = {
-    "log1m": ("log1m", {}),
-    "polylog1": ("polylog", {"s": 1}),
-    "polylog2": ("polylog", {"s": 2}),
-    "polylog3": ("polylog", {"s": 3}),
-    "polylog4": ("polylog", {"s": 4}),
-}
-
-
-# system-file key -> number of words its line needs, the key included
+# system-file key -> number of words its line has, the key included
 _FILE_KEYS = {"family": 2, "param": 3, "name": 2, "C": 2, "Dgrowth": 2, "fit_range": 2}
 
 
@@ -347,39 +346,39 @@ def parse_system(text: str) -> GFunctionSystem:
 
     Lines: `family <name>` (required), `param <key> <value>`, `fit_range <n>`,
     and optional overrides `name`, `C <rational>`, `Dgrowth <rational or e^k>`.
-    Growth, overridden or not, is verified over 0..fit_range before use.
+    Each line has exactly the words its key takes, and no key or param name
+    appears twice.  Growth, overridden or not, is verified over 0..fit_range
+    before use.
     """
-    family = None
     params: dict = {}
-    overrides: dict = {}
+    settings: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        key = parts[0]
+        key, value = parts[0], parts[-1]
         where = f"system-file line {line!r}"
-        if len(parts) < _FILE_KEYS.get(key, 1):
-            raise PreconditionError(f"{where} is missing a value")
-        if key == "family":
-            family = parts[1]
-        elif key == "param":
-            params[parts[1]] = parts[2]
-        elif key == "name":
-            overrides["name"] = parts[1]
-        elif key == "C":
-            overrides["C"] = _parse(Fraction, parts[1], where)
-        elif key == "Dgrowth":
-            e_form = parts[1].startswith("e^")
-            value = _parse(Fraction, parts[1][2:] if e_form else parts[1], where)
-            overrides["Dgrowth"] = (Fraction(1), value) if e_form else (value, Fraction(0))
-        elif key == "fit_range":
-            params["fit_range"] = parts[1]
-        else:
+        if key not in _FILE_KEYS:
             raise PreconditionError(f"unknown system-file key {key!r}")
-    if family is None:
+        if len(parts) != _FILE_KEYS[key]:
+            raise PreconditionError(f"{where}: a {key} line has {_FILE_KEYS[key]} words, "
+                                    f"not {len(parts)}")
+        into, slot = (params, parts[1]) if key == "param" else (settings, key)
+        if slot in into:
+            raise PreconditionError(f"{where} repeats {'param ' if key == 'param' else ''}{slot!r}")
+        if key == "C":
+            value = _parse(Fraction, value, where)
+        elif key == "Dgrowth":
+            e_form = value.startswith("e^")
+            value = _parse(Fraction, value[2:] if e_form else value, where)
+            value = (Fraction(1), value) if e_form else (value, Fraction(0))
+        elif key == "fit_range":
+            value = _parse(int, value, where)
+        into[slot] = value
+    if "family" not in settings:
         raise PreconditionError("system file must name a family")
-    return _build(family, params, overrides)
+    return _build(settings.pop("family"), params, settings)
 
 
 def load_system(path: str) -> GFunctionSystem:
@@ -392,16 +391,10 @@ def load_system(path: str) -> GFunctionSystem:
 
 
 def resolve_system(spec: str) -> GFunctionSystem:
-    """Resolve a CLI-style system reference: alias, family:params, or file path."""
+    """Resolve a CLI-style system reference: a file path, or a spec `family[:value]`
+    or an alias of one, which builds as the file `family F` / `param <its name> value`."""
     if os.path.exists(spec):
         return load_system(spec)
-    if spec in _ALIASES:
-        family, params = _ALIASES[spec]
-        return builtin(family, **params)
-    if ":" in spec:
-        family, _, arg = spec.partition(":")
-        if family == "polylog":
-            return builtin("polylog", s=_parse(int, arg, f"system {spec!r}"))
-        if family in ("binom", "binom_power"):
-            return builtin("binom_power", alpha=_parse(Fraction, arg, f"system {spec!r}"))
-    raise PreconditionError(f"cannot resolve system {spec!r}")
+    head, colon, value = spec.partition(":")
+    family, colon, value = (_ALIASES.get(head, head) + colon + value).partition(":")
+    return _build(family, {None: value} if colon else {}, {})

@@ -259,7 +259,7 @@ def compute_constants(sys: GFunctionSystem, a: int, b: int, t: Scalar, m: int,
         hyp_b_ok=hyp_b_ok, hyp_m_ok=hyp_m_ok,
         eqhyp_status=eqhyp_status, desk_scale=not schedule_ok)
     if schedule_ok and h is not None and h >= 1:
-        verdict = check_eqhyp(report, sys, a, b, digits=digits)
+        verdict = check_eqhyp(report, sys, digits=digits)
         report.eqhyp_status = ("certified-true" if verdict is True
                                else "certified-false" if verdict is False
                                else "indeterminate")
@@ -300,7 +300,7 @@ def _reference_c4(sys: GFunctionSystem, c4: IntervalReal,
     c7 = 96 log(4 e^66)), giving 400593/16 + 1185019/(3 log 2) + 396 log 2.
     A discrepancy beyond 1% raises a flag instead of preferring either value.
     """
-    is_li2 = (sys.params.get("s") == 2 and sys.N == 2 and sys.d == 2
+    is_li2 = (sys.N == 2 and sys.d == 2
               and sys.C == 1 and sys.D_poly.height() == 1
               and sys.Dgrowth_sym == (Fraction(1), Fraction(2)))
     if not is_li2:
@@ -312,7 +312,7 @@ def _reference_c4(sys: GFunctionSystem, c4: IntervalReal,
     return ref, not agree
 
 
-def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
+def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem,
                 digits: int = DEFAULT_DIGITS) -> Optional[bool]:
     """Certified evaluation of the smallness hypothesis:
 
@@ -329,7 +329,7 @@ def check_eqhyp(report: ConstantsReport, sys: GFunctionSystem, a: int, b: int,
         raise PreconditionError("report has no schedule: eqhyp not evaluable")
     H = sys.D_poly.height()
     C = sys.C
-    aa = abs(a)
+    aa, b = abs(report.a), report.b
     c1a = (report.c1_sym[0] * aa, report.c1_sym[1])
     cd_sym = sys.CD_sym()
     dg_coef, dg_exp = sys.Dgrowth_sym

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gpade import Poly, catalog, load_system, parse_system, resolve_system, verify_growth
-from gpade.catalog import GFunctionSystem, builtin
+from gpade.catalog import GFunctionSystem
 from gpade.errors import PreconditionError
 
 
@@ -43,7 +45,7 @@ def test_ode_satisfied(log1m, polylog2, binom_half):
 
 
 def test_ode_detects_corruption(log1m):
-    broken = builtin("log1m")
+    broken = resolve_system("log1m")
     broken._coeff_cache[(1, 3)] = Fraction(1, 7)
     assert not broken.check_ode(10)
 
@@ -59,7 +61,7 @@ def test_growth_first_violation_at_73(log1m):
     # lcm(1..73) > e^74 (the prime-counting sum psi(73) exceeds 74), so the
     # asymptotic constant e fails exactly there; a failed check must not
     # advance the verified range
-    sysf = builtin("log1m")
+    sysf = resolve_system("log1m")
     before = sysf.verified_range
     rep = verify_growth(sysf, 100)
     assert not rep.D_ok
@@ -68,7 +70,7 @@ def test_growth_first_violation_at_73(log1m):
     assert sysf.verified_range == before
 
     # the polylog comparison lcm(1..n)^s <= (e^s)^(n+1) fails at the same n
-    rep2 = verify_growth(builtin("polylog", s=2), 80)
+    rep2 = verify_growth(resolve_system("polylog:2"), 80)
     assert rep2.first_D_violation == 73
 
 
@@ -104,11 +106,11 @@ def test_binom_denominators_are_two_powers(binom_half):
 
 def test_binom_rejects_integer_exponent():
     with pytest.raises(PreconditionError):
-        builtin("binom_power", alpha=Fraction(3))
+        resolve_system("binom:3")
 
 
 def test_polylog_weight_one_matches_negated_log():
-    p1 = builtin("polylog", s=1)
+    p1 = resolve_system("polylog:1")
     # Li_1(z) = -log(1-z)
     for n in range(1, 10):
         assert p1.coefficient(1, n) == Fraction(1, n)
@@ -117,16 +119,84 @@ def test_polylog_weight_one_matches_negated_log():
 
 def test_unknown_family_rejected():
     with pytest.raises(PreconditionError):
-        builtin("airy")
+        resolve_system("airy")
 
 
 def test_resolve_aliases_and_params():
     assert resolve_system("log1m").name == "log1m"
     assert resolve_system("polylog3").N == 3
     assert resolve_system("polylog:4").N == 4
-    assert resolve_system("binom:1/2").params["alpha"] == Fraction(1, 2)
+    half = resolve_system("binom:1/2")
+    assert half.name == "binom[1/2]"
+    assert half.coefficient(1, 1) == Fraction(-1, 2)
     with pytest.raises(PreconditionError):
         resolve_system("unknown-system")
+
+
+# every alias and one `family:value` spec per family, with the two-line file it stands for
+SPEC_FILES = [
+    ("log1m", "family log1m\n"),
+    ("polylog1", "family polylog\nparam s 1\n"),
+    ("polylog2", "family polylog\nparam s 2\n"),
+    ("polylog3", "family polylog\nparam s 3\n"),
+    ("polylog4", "family polylog\nparam s 4\n"),
+    ("polylog", "family polylog\n"),
+    ("polylog:5", "family polylog\nparam s 5\n"),
+    ("binom:1/3", "family binom_power\nparam alpha 1/3\n"),
+    ("binom_power:7/4", "family binom_power\nparam alpha 7/4\n"),
+]
+
+
+def test_spec_files_cover_every_alias_and_family():
+    heads = {spec.partition(":")[0] for spec, _ in SPEC_FILES}
+    assert set(catalog._ALIASES) <= heads
+    assert set(catalog._FAMILIES) <= heads
+
+
+@pytest.mark.parametrize("spec, text", SPEC_FILES, ids=[spec for spec, _ in SPEC_FILES])
+def test_spec_builds_as_its_two_line_file(spec, text):
+    got, want = resolve_system(spec), parse_system(text)
+    assert (got.name, got.N, got.C, got.Dgrowth_sym, got.verified_range) \
+        == (want.name, want.N, want.C, want.Dgrowth_sym, want.verified_range)
+    for n in range(11):
+        assert got.denominator(n) == want.denominator(n)
+        assert [got.coefficient(j, n) for j in range(got.N + 1)] \
+            == [want.coefficient(j, n) for j in range(want.N + 1)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_system("family polylog\nparam weight 3\n"),
+     "family polylog takes param 's', not 'weight'"),
+    (lambda: parse_system("family log1m\nparam alpha 1/2\n"),
+     "family log1m takes no param, not 'alpha'"),
+    (lambda: resolve_system("log1m:3"), "family log1m takes no param, not the value '3'"),
+    (lambda: resolve_system("binom"), "family binom_power needs param 'alpha'"),
+], ids=["polylog-weight", "log1m-alpha", "log1m-spec-value", "binom-no-alpha"])
+def test_family_parameter_is_checked(build, message):
+    with pytest.raises(PreconditionError) as e:
+        build()
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, named", [
+    ("family polylog log1m\n", "'family polylog log1m': a family line has 2 words, not 3"),
+    ("family log1m\nC 2 3\n", "'C 2 3': a C line has 2 words, not 3"),
+    ("family log1m\nname my log\n", "'name my log': a name line has 2 words, not 3"),
+    ("family polylog\nparam s 2\nparam s 3\n", "'param s 3' repeats param 's'"),
+    ("family polylog\nfamily log1m\n", "'family log1m' repeats 'family'"),
+], ids=["family-two-words", "C-two-words", "name-two-words", "param-twice", "family-twice"])
+def test_system_file_line_must_be_exact_and_once(text, named):
+    with pytest.raises(PreconditionError) as e:
+        parse_system(text)
+    assert str(e.value) == "system-file line " + named
+
+
+def test_readme_system_paragraph_names_every_alias_and_family():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("`--system` accepts")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    named = {code.partition(":")[0] for code in re.findall(r"`([^`]+)`", paragraph)}
+    assert set(catalog._ALIASES) | set(catalog._FAMILIES) <= named
 
 
 def test_parse_system_overrides(tmp_path):

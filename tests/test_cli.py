@@ -299,9 +299,19 @@ def _constants(system, *extra):
     (b"family polylog\nfit_range abc\n", _constants("{file}")),
     (b"family binom_power\nparam alpha 1/2\nfit_range 0\n", _constants("{file}")),
     (None, _constants("log1m", "--precision", "0")),
+    (b"family polylog log1m\n", _constants("{file}")),
+    (b"family log1m\nC 2 3\n", _constants("{file}")),
+    (b"family log1m\nname my log\n", _constants("{file}")),
+    (b"family polylog\nparam s 2\nparam s 3\n", _constants("{file}")),
+    (b"family polylog\nfamily log1m\n", _constants("{file}")),
+    (b"family polylog\nparam weight 3\n", _constants("{file}")),
+    (b"family log1m\nparam alpha 1/2\n", _constants("{file}")),
+    (None, _constants("log1m:3")),
 ], ids=["family-no-name", "param-no-value", "param-not-int", "C-not-rational",
         "Dgrowth-not-rational", "not-utf8", "directory", "polylog-spec", "binom-spec",
-        "t", "h0", "h2", "sqrt-d", "fit-range-not-int", "fit-range-0", "precision-0"])
+        "t", "h0", "h2", "sqrt-d", "fit-range-not-int", "fit-range-0", "precision-0",
+        "family-two-words", "C-two-words", "name-two-words", "param-twice", "family-twice",
+        "param-not-taken", "param-on-log1m", "log1m-spec-value"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, system_file, args):
     path = tmp_path / "system.txt"
     if system_file is not None:

@@ -16,7 +16,7 @@ from gpade import (
     iterate,
     resolve_system,
 )
-from gpade.catalog import builtin, verify_growth
+from gpade.catalog import verify_growth
 from gpade.constants import _floor_certified
 from gpade.errors import (HypothesisUnmetError, InsufficientPrecisionError,
                           PreconditionError)
@@ -161,7 +161,7 @@ def test_floor_certified_escalates_past_missing_enclosures():
 
 
 def test_height_bound_requires_verified_growth():
-    sysf = builtin("log1m")
+    sysf = resolve_system("log1m")
     approx = build_approximant(sysf, 70, 2, 2)
     with pytest.raises(PreconditionError):
         bound_height_Qk(approx, sysf, 0)
