@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .errors import InsufficientPrecisionError, PreconditionError
 
@@ -73,23 +73,53 @@ def round_up(f: Fraction, digits: int) -> Fraction:
     return Fraction(-((-f.numerator) * scale // f.denominator), scale)
 
 
-# Fixed-point series sums carry this many units per unit of their last returned digit.  A sum
-# of n floored terms is off by less than 2n units, so an end is left unsettled only when a
-# rounding boundary lies within 2n + 1 units of it: an exact tie, or by chance with
-# probability under (2n + 1) / 10^12 per end.
+# Fixed-point series sums carry this many units per unit of their last returned digit.  The walk's
+# error for exp and atanh is under 2 units a term, so an end of a K-term sum is left unsettled only
+# by an exact tie, or by chance with probability under (2K + 6) / 10^12 per end.
 FIXED_GUARD = 10 ** 12
 
 
-def round_fixed(s: int, n: int, tail: int, digits: int) -> Optional[IntervalReal]:
+def series_walk(m0: tuple[int, int], steps: Iterable[tuple[int, int]], rho: tuple[int, int],
+                tail: Callable[[int], tuple[int, int]],
+                digits: int) -> tuple[int, int, int, int, int]:
+    """Fixed-point sum, W = 10^digits FIXED_GUARD units to 1, of the positive terms m_0 =
+    m0[0]/m0[1] and m_k = m_{k-1} p_k/q_k, (p_k, q_k) the k-th of the unending `steps`, through
+    the first K >= 1 whose tail bound T = m_{K+1}/(1 - rho), rho = (p, q), is at most
+    10^-digits; tail(K) is T exactly, as (tn, td).  Returns (K, s, err, tl, th) with
+    s <= W (m_0 + ... + m_K) < s + err and tl <= W T < th (proved in gpade.transcend)."""
+    rp, rq = rho
+    # W m_{K+1} lies in [t, t + e): W T <= FIXED_GUARD holds if t + e <= tmax, fails if t > tmax
+    tmax = FIXED_GUARD * (rq - rp) // rq
+    t = s = 10 ** digits * FIXED_GUARD * m0[0] // m0[1]
+    err = e = 1
+    K = 0
+    for p, q in steps:
+        t, e = t * p // q, -(-e * p // q) + 1
+        if K >= 1 and t <= tmax:
+            tn, td = (0, 1) if t + e <= tmax else tail(K)
+            if tn * 10 ** digits <= td:
+                return K, s, err, t * rq // (rq - rp), -(-(t + e) * rq // (rq - rp))
+        s, err, K = s + t, err + e, K + 1
+
+
+def round_fixed(s: int, err: int, tl: int, th: int, digits: int) -> Optional[IntervalReal]:
     """The round_out(digits) of [S, S + T], or None when the fixed-point bounds below
     leave an end unsettled (Ziv's rounding test).  In units of 10^-digits / FIXED_GUARD the
-    caller proves s <= S < s + 2n (n floored terms, each less than 2 below its exact
-    value) and tail <= T < tail + 1."""
-    g, err = FIXED_GUARD, 2 * n
-    lo, hi = s // g, -(-(s + tail) // g)
-    if lo != (s + err) // g or hi != -(-(s + err + tail + 1) // g):
+    caller proves s <= S < s + err and tl <= T < th, as `series_walk` returns them."""
+    g = FIXED_GUARD
+    lo, hi = s // g, -(-(s + tl) // g)
+    if lo != (s + err) // g or hi != -(-(s + err + th) // g):
         return None
     return IntervalReal._of(lo, hi, 10 ** digits)
+
+
+def enclose_sum(s: int, sd: int, tn: int, td: int, sides: tuple[int, int],
+                digits: int) -> IntervalReal:
+    """[S + sides[0] T, S + sides[1] T] for S = s/sd and T = tn/td >= 0, sd, td > 0, put
+    over one denominator and rounded out to the 10^-digits grid once: the exact enclosure
+    of a series sum S with its tail bound T on the side(s) `sides` names."""
+    mid, t = s * td, tn * sd
+    return IntervalReal._of(mid + sides[0] * t, mid + sides[1] * t, sd * td).round_out(digits)
 
 
 def _parts(x) -> tuple[int, int, int]:

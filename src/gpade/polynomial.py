@@ -6,13 +6,14 @@ arithmetic works on ints and normalizes once per result; its `coeffs` is a
 read-only `fractions.Fraction` view.  `int_product` is the one product kernel,
 a convolution of integer coefficient lists: `Poly` multiplication,
 `truncated_product`, and `derivation`'s iterate recurrence and determinant all
-call it.  `power_sum` is the one series kernel: `Poly` evaluation, F_j(z),
-exp and atanh all sum with it, it adds a long series by binary splitting, and
-it returns an unnormalized integer numerator and denominator, so a caller
-that rounds pays no gcd.  `cleared` puts a list of rationals over the lcm of
-their denominators.  `truncated_product` is the one product of a `Poly` with
-a power series known to a finite order; a series is just its list of known
-(int or Fraction) coefficients.
+call it.  `power_sum` is the one exact series sum: `Poly` evaluation and F_j(z)
+sum with it, and exp and atanh when their fixed-point sum (intervals.series_walk)
+cannot round.  It adds a long series by binary splitting, and returns an
+unnormalized integer numerator and denominator, so a caller that rounds pays
+no gcd.  `cleared` puts a list of rationals over the lcm of their denominators.
+`truncated_product` is the one product of a `Poly` with a power series known
+to a finite order; a series is just its list of known (int or Fraction)
+coefficients.
 """
 
 from __future__ import annotations

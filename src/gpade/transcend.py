@@ -1,23 +1,28 @@
 """Certified enclosures for exp and log, from rational series with proved error bounds.
 
 Each function returns an IntervalReal whose endpoints are exact rationals on a
-decimal grid.  A series is summed through the first K >= 1 whose tail is at most
-10^-r, r = digits+1, and [sum, sum + tail] is rounded out to the 10^-r grid.  The
-tail bounds are:
+decimal grid.  A series whose terms m_n (in size) have ratio m_{n+1}/m_n <= rho < 1
+has its tail past K at most m_{K+1}/(1 - rho).  It is summed through the first
+K >= 1 whose tail bound is at most 10^-r, r = digits+1, and [sum, sum + tail] is
+rounded out to the 10^-r grid:
 
-  exp(x), 0 <= x <= 1:   sum_{i>K} x^i/i! <= 2 x^{K+1}/(K+1)!
-  atanh(u), |u| <= 1/2:  sum_{i>K} u^{2i+1}/(2i+1) <= |u|^{2K+3}/((2K+3)(1-u^2))
+  exp(x), 0 <= x <= 1:   m_i = x^i/i!, ratio x/(i+1) <= 1/2 past i = 0,
+                         tail 2 x^{K+1}/(K+1)!
+  atanh(u), |u| <= 1/2:  m_k = |u|^{2k+1}/(2k+1), ratio u^2 (2k+1)/(2k+3) <= u^2,
+                         tail |u|^{2K+3}/((2K+3)(1-u^2)), on u's side of the sum
 
-The sum is first taken in fixed point, in units of 10^-r / G, G = intervals.FIXED_GUARD.
-Each term is the floor of the previous one times the term ratio (x/i for exp,
-u^2 (2k+1)/(2k+3) <= 1/4 for atanh), so each lies less than 2 below its exact value,
-and the K+1 terms less than 2(K+1) below the exact sum; the floored tail is short by
-less than 1.  `intervals.round_fixed` (Ziv's rounding test) returns the rounded ends
-when neither error window holds a grid point, as the exact sum rounds to them.
-Otherwise (an exact tie such as exp(0), or a window over a grid point) the exact sum
-runs: by binary splitting in polynomial.power_sum, the integer sum (exp's times K!,
-over coefficients K!/i!) and the tail meet over one denominator and are rounded out
-once.  Both paths give the same (lo, hi, den).
+`intervals.series_walk` sums in fixed point, W = 10^r 10^12 units to 1, and finds
+K as it sums.  From t_0 = floor(W m_0) and e_0 = 1, each ratio p/q gives t_k =
+floor(t_{k-1} p/q) and e_k = ceil(e_{k-1} p/q) + 1, and t_k <= W m_k < t_k + e_k:
+t_k <= t_{k-1} p/q <= W m_k < (t_{k-1} + e_{k-1}) p/q < t_k + 1 + e_{k-1} p/q.  So
+s = t_0 + ... + t_K has s <= W S < s + e_0 + ... + e_K, and t_{K+1}, e_{K+1} bound
+W m_{K+1}, hence W T; the exact tail is compared with 10^-r only when they
+straddle it.  `intervals.round_fixed` (Ziv's rounding test) returns the ends the
+exact [S, S + T] rounds to when neither error window holds a grid point.
+Otherwise (a tie such as exp(0), or a window over a grid point by chance) the
+exact sum over the same K runs, by binary splitting in polynomial.power_sum, and
+`intervals.enclose_sum` rounds it and the exact tail out once.  Both paths give
+the same (lo, hi, den).
 
 Large arguments are reduced first (exp: integer part via powers of an e
 enclosure; log: powers of 10 and 2), so series arguments stay small.
@@ -27,55 +32,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from math import factorial
 from operator import floordiv
 from typing import Union
 
 from .errors import PreconditionError
-from .intervals import FIXED_GUARD, IntervalReal, _decimal_digits, _frac, round_fixed, settle
+from .intervals import IntervalReal, _decimal_digits, _frac, enclose_sum, round_fixed, \
+    series_walk, settle
 from .polynomial import power_sum
 
 Scalar = Union[int, Fraction]
 EPower = tuple[Fraction, Fraction]      # (coef, e_exp): coef * e^e_exp, coef > 0
 
 
-def _exp_tail(a: int, b: int, r: int) -> tuple[int, int, int]:
-    """(K, tn, td) for the first K >= 1 whose exp tail 2 x^{K+1}/(K+1)!, x = a/b, is
-    tn / (td 10^r) <= 10^-r."""
-    tn, td, K = 2 * a * a * 10 ** r, 2 * b * b, 1
-    while tn > td:
-        K += 1
-        tn *= a
-        td *= b * (K + 1)
-    return K, tn, td
-
-
 def _exp_series_01(x: Fraction, digits: int) -> IntervalReal:
     """Enclosure of exp(x) for 0 <= x <= 1: the fixed-point sum, else the exact one."""
     a, b, r = x.numerator, x.denominator, digits + 1
-    K, tn, td = _exp_tail(a, b, r)
-    # t_i = floor(t_{i-1} x / i) lies below W x^i/i! by less than 2, as x/i <= 1
-    t = s = 10 ** r * FIXED_GUARD
-    for i in range(1, K + 1):
-        t = t * a // (b * i)
-        s += t
-    iv = round_fixed(s, K + 1, tn * FIXED_GUARD // td, r)
-    return _exp_series_exact(x, digits) if iv is None else iv
 
+    def tail(K: int) -> tuple[int, int]:
+        return 2 * a ** (K + 1), b ** (K + 1) * factorial(K + 1)
 
-def _exp_series_exact(x: Fraction, digits: int) -> IntervalReal:
-    """The exact sum behind _exp_series_01, for ties its fixed-point bounds cannot round."""
-    a, b = x.numerator, x.denominator
-    K, tn, td = _exp_tail(a, b, digits + 1)
+    K, s, err, tl, th = series_walk((1, 1), zip(repeat(a), count(b, b)), (1, 2), tail, r)
+    iv = round_fixed(s, err, tl, th, r)
+    if iv is not None:
+        return iv
     # K! times the sum has integer coefficients K!/i!, made by exact division as summed: all
     # K + 1 at once, built up from K, would hold about K^2 log10(K) / 2 digits
     kfact = factorial(K)
     s, sd = power_sum(accumulate(range(1, K + 1), floordiv, initial=kfact), x)
-    # the sum s / (sd K!) and the tail over one denominator
-    sd, td = sd * kfact, td * 10 ** (digits + 1)
-    lo = s * td
-    return IntervalReal._of(lo, lo + tn * sd, sd * td).round_out(digits + 1)
+    return enclose_sum(s, sd * kfact, *tail(K), (0, 1), r)
 
 
 @lru_cache(maxsize=None)
@@ -109,17 +95,6 @@ def exp_frac(x: Scalar, digits: int) -> IntervalReal:
     return (_e_power(n, guard) * _exp_series_01(f, guard)).round_sig(digits + 2)
 
 
-def _atanh_tail(a: int, b: int, r: int) -> tuple[int, int, int]:
-    """(K, tn, td) for the first K >= 1 whose atanh tail |u|^{2K+3}/((2K+3)(1-u^2)),
-    |u| = a/b, is tn / ((2K+3) td 10^r) <= 10^-r."""
-    tn, td, K = a ** 5 * 10 ** r, b ** 3 * (b * b - a * a), 1
-    while tn > (2 * K + 3) * td:
-        K += 1
-        tn *= a * a
-        td *= b * b
-    return K, tn, td
-
-
 def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
     """Enclosure of atanh(u) for |u| <= 1/2: the fixed-point sum, else the exact one."""
     if abs(u) > Fraction(1, 2):
@@ -127,31 +102,21 @@ def _atanh_series(u: Fraction, digits: int) -> IntervalReal:
     if u == 0:
         return IntervalReal.point(0)
     a, b, r = abs(u.numerator), u.denominator, digits + 1
-    K, tn, td = _atanh_tail(a, b, r)
-    # t_k lies below W |u|^{2k+1}/(2k+1) by less than 4/3: each floor loses under 1, and
-    # the ratio u^2 (2k+1)/(2k+3) of successive terms is at most 1/4
     a2, b2 = a * a, b * b
-    t = s = 10 ** r * FIXED_GUARD * a // b
-    for k in range(K):
-        t = t * (a2 * (2 * k + 1)) // (b2 * (2 * k + 3))
-        s += t
-    iv = round_fixed(s, K + 1, tn * FIXED_GUARD // ((2 * K + 3) * td), r)
+
+    def tail(K: int) -> tuple[int, int]:
+        return a ** (2 * K + 3), (2 * K + 3) * b ** (2 * K + 1) * (b2 - a2)
+
+    # the ratios a2 (2k+1) / (b2 (2k+3)), k = 0, 1, ...
+    steps = zip(count(a2, 2 * a2), count(3 * b2, 2 * b2))
+    K, s, err, tl, th = series_walk((a, b), steps, (a2, b2), tail, r)
+    iv = round_fixed(s, err, tl, th, r)
     if iv is None:
-        return _atanh_series_exact(u, digits)
+        s, sd = power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
+        # the sum u s / sd, with the tail on u's side
+        return enclose_sum(u.numerator * s, sd * b, *tail(K), (0, 1) if u > 0 else (-1, 0), r)
     # atanh is odd: the enclosure of atanh(-|u|) is the negated one of atanh(|u|)
     return iv if u > 0 else -iv
-
-
-def _atanh_series_exact(u: Fraction, digits: int) -> IntervalReal:
-    """The exact sum behind _atanh_series, for ties its fixed-point bounds cannot round."""
-    a, b = abs(u.numerator), u.denominator
-    K, tn, td = _atanh_tail(a, b, digits + 1)
-    s, sd = power_sum((Fraction(1, 2 * k + 1) for k in range(K + 1)), u * u)
-    # the sum u s / sd and the tail over one denominator; the tail lies on u's side
-    sd, td = sd * u.denominator, td * (2 * K + 3) * 10 ** (digits + 1)
-    mid, t = u.numerator * s * td, tn * sd
-    lo, hi = (mid, mid + t) if u > 0 else (mid - t, mid)
-    return IntervalReal._of(lo, hi, sd * td).round_out(digits + 1)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,8 @@ from .catalog import GFunctionSystem
 from .constants import ConstantsReport, compute_constants, eps_threshold
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
 from .errors import InternalCertificateError, NoConvergentTailBound, PreconditionError
-from .intervals import CertifiedReal, IntervalReal, decide, frac_pow, settle, width_digits
+from .intervals import CertifiedReal, IntervalReal, decide, enclose_sum, frac_pow, settle, \
+    width_digits
 from .pade import build_approximant
 from .polynomial import power_sum
 from .report import TRISTATE_STATUS
@@ -34,21 +35,27 @@ from .transcend import log_frac
 Scalar = Union[int, Fraction]
 
 
+def _check_point(sys: GFunctionSystem, j: int, z: Fraction) -> Fraction:
+    """C|z|, once 1 <= j <= N and C|z| < 1 are checked: F_j(z) then has a series enclosure."""
+    if not 1 <= j <= sys.N:
+        raise PreconditionError(f"component {j} is not in 1..{sys.N} (component 0 is "
+                                "the constant 1, whose expansion is rational)")
+    cz = sys.C * abs(z)
+    if cz >= 1:
+        raise NoConvergentTailBound(
+            f"C|z| = {cz} >= 1: no convergent tail bound for this evaluation")
+    return cz
+
+
 def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> IntervalReal:
-    """Interval of width <= `width` containing F_j(z), for C|z| < 1.
+    """Interval of width <= `width` containing F_j(z), 1 <= j <= N, for C|z| < 1.
 
     Partial sum plus the geometric tail bound sum_{n>M} C^{n+1} |z|^n.
     """
-    z = Fraction(z)
-    width = Fraction(width)
+    z, width = Fraction(z), Fraction(width)
     if width <= 0:
         raise PreconditionError("width must be positive")
-    if not (0 <= j <= sys.N):
-        raise PreconditionError(f"component {j} out of range 0..{sys.N}")
-    cz = sys.C * abs(z)
-    if z != 0 and cz >= 1:
-        raise NoConvergentTailBound(
-            f"C|z| = {cz} >= 1: no convergent tail bound for this evaluation")
+    cz = _check_point(sys, j, z)
     if z == 0:
         return IntervalReal.point(sys.coefficient(j, 0))
 
@@ -58,22 +65,16 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
     while tn > td:
         tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
     s, sd = power_sum((sys.coefficient(j, n) for n in range(M + 1)), z)
-    # the sum s / sd and the tail (tn / td) (width/2) over one denominator
-    td *= target.denominator
-    mid, t = s * td, tn * target.numerator * sd
     # outward-round to keep endpoint sizes proportional to the request
-    return IntervalReal._of(mid - t, mid + t, sd * td).round_out(max(1, width_digits(width / 4)))
+    return enclose_sum(s, sd, tn * target.numerator, td * target.denominator, (-1, 1),
+                       max(1, width_digits(width / 4)))
 
 
 def value_producer(sys: GFunctionSystem, j: int, z: Scalar) -> CertifiedReal:
     """A new CertifiedReal for F_j(z), 1 <= j <= N, z of either sign; raises at once
     when j is out of range or C|z| >= 1."""
-    if not 1 <= j <= sys.N:
-        raise PreconditionError(f"component {j} is not in 1..{sys.N} (component 0 is "
-                                "the constant 1, whose expansion is rational)")
     z = Fraction(z)
-    if z != 0 and sys.C * abs(z) >= 1:
-        raise NoConvergentTailBound("C|z| >= 1: no convergent tail bound")
+    _check_point(sys, j, z)
     return CertifiedReal(lambda digits: eval_certified(sys, j, z, Fraction(1, 10 ** digits)),
                          name=f"{sys.name}:F_{j}({z})")
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
 from gpade.intervals import (DEFAULT_DIGIT_CAP, FIXED_GUARD, PRECISION_CAP, _decimal_digits,
-                             decide, precision_cap, round_down, round_fixed, round_up, settle,
-                             width_digits)
+                             decide, precision_cap, round_down, round_fixed, round_up,
+                             series_walk, settle, width_digits)
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 
@@ -398,30 +399,31 @@ def _fraction_in(lo, width, steps):
 
 @st.composite
 def fixed_point_sums(draw):
-    """(s, n, tail, digits, S, T): exact S, T in the units of round_fixed that lie where
-    its bounds say, s near a multiple of FIXED_GUARD and s + tail near another one."""
+    """(s, err, tl, th, digits, S, T): exact S, T in the units of round_fixed that lie where
+    its bounds say, s near a multiple of FIXED_GUARD and s + tl near another one."""
     n, digits = draw(st.integers(1, 5000)), draw(st.integers(0, 30))
     m, near = draw(st.integers(-10 ** 6, 10 ** 6)), st.integers(-3 * n - 3, 3 * n + 3)
-    s = m * FIXED_GUARD + draw(near)
-    tail = draw(st.sampled_from([0, FIXED_GUARD // 2, FIXED_GUARD])) + draw(near)
-    tail = max(tail, 0)
-    S = draw(_fraction_in(s, 2 * n, 10 ** 6))
-    T = draw(_fraction_in(tail, 1, 10 ** 6))
-    return s, n, tail, digits, S, T
+    s, err = m * FIXED_GUARD + draw(near), draw(st.integers(1, 2 * n))
+    tl = draw(st.sampled_from([0, FIXED_GUARD // 2, FIXED_GUARD])) + draw(near)
+    tl = max(tl, 0)
+    th = tl + draw(st.integers(1, 5))
+    S = draw(_fraction_in(s, err, 10 ** 6))
+    T = draw(_fraction_in(tl, th - tl, 10 ** 6))
+    return s, err, tl, th, digits, S, T
 
 
 @given(fixed_point_sums())
-# the sum's error is just below 2n and carries S over a boundary that s + n stays under
-@example((FIXED_GUARD - 2 * 7 + 1, 7, FIXED_GUARD // 2, 3,
+# the sum's error is just below err and carries S over a boundary that s + err / 2 stays under
+@example((FIXED_GUARD - 2 * 7 + 1, 2 * 7, FIXED_GUARD // 2, FIXED_GUARD // 2 + 1, 3,
           Fraction(FIXED_GUARD), Fraction(FIXED_GUARD // 2)))
-# both errors just below their bounds carry S + T over a boundary that s + 2n + tail meets
-@example((5 * FIXED_GUARD + 100, 3, FIXED_GUARD - 106, 0,
+# both errors just below their bounds carry S + T over a boundary that s + err + th meets
+@example((5 * FIXED_GUARD + 100, 2 * 3, FIXED_GUARD - 106, FIXED_GUARD - 105, 0,
           Fraction(5 * FIXED_GUARD + 106) - Fraction(1, 1000),
           Fraction(FIXED_GUARD - 106) + Fraction(999, 1000)))
 @settings(max_examples=300)
 def test_round_fixed_settles_only_what_its_bounds_decide(case):
-    s, n, tail, digits, S, T = case
-    iv = round_fixed(s, n, tail, digits)
+    s, err, tl, th, digits, S, T = case
+    iv = round_fixed(s, err, tl, th, digits)
     if iv is not None:
         unit = FIXED_GUARD * 10 ** digits
         exact = IntervalReal(S / unit, (S + T) / unit).round_out(digits)
@@ -430,10 +432,53 @@ def test_round_fixed_settles_only_what_its_bounds_decide(case):
 
 def test_round_fixed_settles_away_from_boundaries():
     g = FIXED_GUARD
-    iv = round_fixed(7 * g + g // 3, 1000, g // 3, 5)
+    iv = round_fixed(7 * g + g // 3, 2000, g // 3, g // 3 + 1, 5)
     assert (iv._lo, iv._hi, iv._den) == (7, 8, 10 ** 5)
     # a sum or a sum plus tail on the grid (an exact tie), or an error window over a
     # boundary, is left to the caller
-    assert round_fixed(7 * g, 1000, 0, 5) is None
-    assert round_fixed(7 * g - 1, 1, g // 3, 5) is None
-    assert round_fixed(7 * g + g // 3, 1, g - g // 3, 5) is None
+    assert round_fixed(7 * g, 2000, 0, 1, 5) is None
+    assert round_fixed(7 * g - 1, 2, g // 3, g // 3 + 1, 5) is None
+    assert round_fixed(7 * g + g // 3, 2, g - g // 3, g - g // 3 + 1, 5) is None
+
+
+def _majorant(kind: str, a: int, b: int):
+    """(m0, steps, rho) of exp's majorant x^i/i! at x = a/b, or of atanh's |u|^{2k+1}/(2k+1)
+    at |u| = a/b; `steps` makes a new iterator of the term ratios."""
+    if kind == "exp":
+        return (1, 1), lambda: ((a, b * i) for i in count(1)), (1, 2)
+    a2, b2 = a * a, b * b
+    return (a, b), lambda: ((a2 * (2 * k + 1), b2 * (2 * k + 3)) for k in count()), (a2, b2)
+
+
+# 0 < x <= 1 for exp, 0 < |u| <= 1/2 for atanh
+majorant_args = st.integers(2, 10 ** 4).flatmap(lambda b: st.one_of(
+    st.tuples(st.just("exp"), st.integers(1, b), st.just(b)),
+    st.tuples(st.just("atanh"), st.integers(1, b // 2), st.just(b))))
+
+
+@given(majorant_args, st.integers(0, 40))
+@example(("exp", 1, 10 ** 6), 11)     # the tail bound is 10^-12 exactly at K = 1
+@example(("atanh", 1, 2), 1)
+@example(("exp", 3, 7), 3)            # W m_{K+1} lies 1 or more above t_{K+1}
+@example(("atanh", 16, 33), 2)
+@settings(max_examples=200, deadline=None)
+def test_series_walk_bounds_the_exact_sum_and_tail(args, digits):
+    m0, steps, (rp, rq) = _majorant(*args)
+    terms, ratios = [Fraction(*m0)], steps()
+
+    def term(k):
+        while len(terms) <= k:
+            terms.append(terms[-1] * Fraction(*next(ratios)))
+        return terms[k]
+
+    def tail(K):
+        T = term(K + 1) * rq / (rq - rp)
+        return T.numerator, T.denominator
+
+    K, s, err, tl, th = series_walk(m0, steps(), (rp, rq), tail, digits)
+    W, target = 10 ** digits * FIXED_GUARD, Fraction(1, 10 ** digits)
+    assert s <= W * sum(map(term, range(K + 1))) < s + err
+    assert tl <= W * Fraction(*tail(K)) < th
+    # K is the first K >= 1 whose exact tail bound meets the target
+    assert K >= 1 and Fraction(*tail(K)) <= target
+    assert K == 1 or Fraction(*tail(K - 1)) > target

@@ -131,3 +131,40 @@ def test_deep_outputs_keep_their_bytes(monkeypatch):
     for spec in workloads.make_jobs("deep", 1):
         digest.update(checks.digest_item(spec, workloads.run_job(spec, systems)))
     assert digest.hexdigest() == "ac0b8e64b76dad9fdd20ce7a2430a9f7851caffcf576b9ec0ced91d7add5b40f"
+
+
+# the functions of `math` the package may call: exact on ints, and floor/ceil on Fractions
+EXACT_MATH = {"gcd", "lcm", "isqrt", "factorial", "floor", "ceil"}
+
+
+def _inexact_uses(source: str) -> list[str]:
+    """Float literals, uses of `float`, and `math` functions outside EXACT_MATH in `source`."""
+    tree = ast.parse(source)
+    math_aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names if alias.name == "math"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{node.lineno}: float")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno}: math.{a.name}" for a in node.names
+                      if a.name not in EXACT_MATH]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_aliases and node.attr not in EXACT_MATH):
+            found.append(f"{node.lineno}: math.{node.attr}")
+    return found
+
+
+def test_the_package_holds_no_floats():
+    # the package's own claim: every number is an exact integer or rational, and every
+    # term-count estimate stays in integers
+    package = sorted((Path(__file__).resolve().parent.parent / "src" / "gpade").glob("*.py"))
+    assert [f"{path.name}:{use}" for path in package
+            for use in _inexact_uses(path.read_text())] == []
+    # and the check sees each form it forbids
+    probe = ("import math as m\nfrom math import gcd, log2\nx = float(m.isqrt(9)) + 0.5 + 2j\n"
+             "y = m.log(x) * m.factorial(3)\n")
+    assert sorted(_inexact_uses(probe)) == ["2: math.log2", "3: float", "3: literal 0.5",
+                                            "3: literal 2j", "4: math.log"]

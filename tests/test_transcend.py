@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import ceil, floor
+from unittest import mock
 
 import mpmath
 import pytest
@@ -10,8 +11,8 @@ from gpade import IntervalReal, exp_frac, exp_interval, log_frac, log_interval
 from gpade.errors import PreconditionError
 from gpade.intervals import precision_cap
 from gpade import transcend
-from gpade.transcend import _atanh_series, _atanh_series_exact, _e_enclosure, _e_power, \
-    _exp_series_01, _exp_series_exact, le_epower, log2_enclosure, log10_enclosure
+from gpade.transcend import _atanh_series, _e_enclosure, _e_power, _exp_series_01, le_epower, \
+    log2_enclosure, log10_enclosure
 
 mpmath.mp.dps = 60
 
@@ -233,6 +234,12 @@ def _fraction_of_height(lo, hi):
         lambda q: st.builds(Fraction, st.integers(ceil(lo * q), floor(hi * q)), st.just(q)))
 
 
+def _exact_sum(series, x: Fraction, digits: int) -> tuple[int, int, int]:
+    """The triple of `series` at x when every fixed-point rounding declines: its exact sum."""
+    with mock.patch.object(transcend, "round_fixed", lambda *bounds: None):
+        return _triple(series(x, digits))
+
+
 _FALLBACK_EXP = [(Fraction(0), 0), (Fraction(0), 20), (Fraction(1, 10), 1),
                  (Fraction(1, 5), 3), (Fraction(1, 50), 7)]
 _FALLBACK_ATANH = [(Fraction(1, 2), 1), (Fraction(-1, 2), 1)]
@@ -243,7 +250,7 @@ _FALLBACK_ATANH = [(Fraction(1, 2), 1), (Fraction(-1, 2), 1)]
 @example(Fraction(347, 811), 1900)
 @settings(max_examples=60, deadline=None)
 def test_exp_series_fixed_point_equals_exact_sum(x, digits):
-    assert _triple(_exp_series_01(x, digits)) == _triple(_exp_series_exact(x, digits))
+    assert _triple(_exp_series_01(x, digits)) == _exact_sum(_exp_series_01, x, digits)
 
 
 @given(_fraction_of_height(Fraction(-1, 2), Fraction(1, 2)).filter(bool), st.integers(0, 2000))
@@ -252,37 +259,52 @@ def test_exp_series_fixed_point_equals_exact_sum(x, digits):
 @example(-_U60, 0)
 @settings(max_examples=60, deadline=None)
 def test_atanh_series_fixed_point_equals_exact_sum(u, digits):
-    assert _triple(_atanh_series(u, digits)) == _triple(_atanh_series_exact(u, digits))
+    assert _triple(_atanh_series(u, digits)) == _exact_sum(_atanh_series, u, digits)
 
 
 def _count_exact_calls(monkeypatch):
+    """The arguments of each exact enclosure the series build, recorded as they run."""
     calls = []
-    for name in ("_exp_series_exact", "_atanh_series_exact"):
-        exact = getattr(transcend, name)
-        monkeypatch.setattr(transcend, name,
-                            lambda x, digits, exact=exact: calls.append(x) or exact(x, digits))
+    exact = transcend.enclose_sum
+    monkeypatch.setattr(transcend, "enclose_sum", lambda *args: calls.append(args) or exact(*args))
     return calls
 
 
 def test_ties_reach_the_exact_sum(monkeypatch):
     calls = _count_exact_calls(monkeypatch)
-    for x, digits in _FALLBACK_EXP:
-        _exp_series_01(x, digits)
-    for u, digits in _FALLBACK_ATANH:
-        _atanh_series(u, digits)
-    assert calls == [x for x, _ in _FALLBACK_EXP + _FALLBACK_ATANH]
+    for series, cases in ((_exp_series_01, _FALLBACK_EXP), (_atanh_series, _FALLBACK_ATANH)):
+        for x, digits in cases:
+            before = len(calls)
+            series(x, digits)
+            assert len(calls) == before + 1, (x, digits)
+
+
+def test_ties_are_stopped_by_the_exact_tail_check(monkeypatch):
+    # the tail bound 2 x^2/2! at K = 1 is 10^-r exactly (10^-12 at x = 10^-6, 10^-2 at x = 1/10),
+    # so the walk's fixed-point bounds on it straddle the target and the exact check decides
+    checked = []
+    walk = transcend.series_walk
+    monkeypatch.setattr(transcend, "series_walk", lambda m0, steps, rho, tail, digits: walk(
+        m0, steps, rho, lambda K: checked.append(K) or tail(K), digits))
+    for x, digits in ((Fraction(1, 10 ** 6), 11), (Fraction(1, 10), 1)):
+        checked.clear()
+        assert _triple(_exp_series_01(x, digits)) == _triple(_exp_series_01_fraction(x, digits))
+        assert checked == [1], (x, digits)
+    checked.clear()
+    _exp_series_01(Fraction(347, 811), 1900)
+    assert checked == []
 
 
 def test_deep_top_rungs_never_fall_back(monkeypatch):
     # the highest precisions of perfbench's deep ladder, and atanh at log_interval(c6)'s
     # 60-digit argument, round from the fixed-point sum alone
-    cases = [(_exp_series_01, _exp_series_exact, Fraction(347, 811), 1900),
-             (_atanh_series, _atanh_series_exact, Fraction(97, 811), 2000),
-             (_atanh_series, _atanh_series_exact, _U60, 76),
-             (_atanh_series, _atanh_series_exact, -_U60, 76)]
-    expected = [_triple(exact(x, digits)) for _, exact, x, digits in cases]
+    cases = [(_exp_series_01, Fraction(347, 811), 1900),
+             (_atanh_series, Fraction(97, 811), 2000),
+             (_atanh_series, _U60, 76),
+             (_atanh_series, -_U60, 76)]
+    expected = [_exact_sum(series, x, digits) for series, x, digits in cases]
     calls = _count_exact_calls(monkeypatch)
-    assert [_triple(fast(x, digits)) for fast, _, x, digits in cases] == expected
+    assert [_triple(series(x, digits)) for series, x, digits in cases] == expected
     assert calls == []
 
 
@@ -292,7 +314,7 @@ def test_exp_frac_of_an_integer_is_the_e_power():
     for n in (1, 2, 7, 66, 132, 1000):
         for digits in (5, 16, 48, 72, 300):
             guard = digits + len(str(n)) + 6
-            product = (_e_power(n, guard) * _exp_series_exact(Fraction(0), guard)).round_sig(digits + 2)
+            product = (_e_power(n, guard) * _exp_series_01(Fraction(0), guard)).round_sig(digits + 2)
             assert _triple(exp_frac(n, digits)) == _triple(product)
 
 

@@ -51,7 +51,12 @@ def test_eval_certified_domain(log1m):
     with pytest.raises(PreconditionError):
         eval_certified(log1m, 1, Fraction(1, 2), Fraction(0))
     assert eval_certified(log1m, 1, Fraction(0), Fraction(1, 10)).width == 0
-    assert eval_certified(log1m, 0, Fraction(1, 2), Fraction(1, 10**6)).lo <= 1
+    # component 0 is the constant 1: no series enclosure is made for it, as value_producer says
+    for j in (0, 2, -1):
+        with pytest.raises(PreconditionError) as excinfo:
+            eval_certified(log1m, j, Fraction(1, 2), Fraction(1, 10**6))
+        assert str(excinfo.value) == (f"component {j} is not in 1..1 (component 0 is the "
+                                      "constant 1, whose expansion is rational)")
 
 
 def test_value_producer_returns_a_new_value(log1m):
@@ -61,6 +66,9 @@ def test_value_producer_returns_a_new_value(log1m):
     assert a.enclosure(40) == b.enclosure(40)
     with pytest.raises(NoConvergentTailBound):
         value_producer(log1m, 1, Fraction(2))
+    # the producer is lazy, so both checks run when it is made
+    with pytest.raises(PreconditionError):
+        value_producer(log1m, 0, Fraction(1, 10))
 
 
 def test_value_producer_takes_an_int_or_fraction_z():
@@ -285,7 +293,7 @@ half_disk = st.integers(2, 10**4).flatmap(
     lambda d: st.builds(Fraction, st.integers(-(d // 2), d // 2), st.just(d)))
 
 
-@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(0, 3), half_disk,
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(1, 3), half_disk,
        st.integers(1, 400).map(lambda k: Fraction(1, 10 ** k)))
 @example("polylog3", 3, Fraction(-1, 2), Fraction(1, 10 ** 400))
 @example("binom:1/2", 1, Fraction(1, 10), Fraction(1, 10))
@@ -320,17 +328,17 @@ _TRIPLE_SYSTEMS = {name: resolve_system(name)
 
 @st.composite
 def _half_radius_points(draw):
-    """(system, j, z) with C|z| <= 1/2, z of either sign or 0."""
+    """(system, j, z) with 1 <= j <= N and C|z| <= 1/2, z of either sign or 0."""
     name = draw(st.sampled_from(sorted(_TRIPLE_SYSTEMS)))
     sys = _TRIPLE_SYSTEMS[name]
     d = draw(st.integers(2, 10**4))
     r = d // (2 * sys.C)
-    return name, draw(st.integers(0, sys.N)), Fraction(draw(st.integers(-r, r)), d)
+    return name, draw(st.integers(1, sys.N)), Fraction(draw(st.integers(-r, r)), d)
 
 
 @given(_half_radius_points(), st.integers(1, 300).map(lambda k: Fraction(1, 10 ** k)))
 @example(("binom:3/2", 1, Fraction(-1, 16)), Fraction(1, 10 ** 300))
-@example(("binom:3/2", 0, Fraction(1, 17)), Fraction(1, 10))
+@example(("binom:3/2", 1, Fraction(1, 17)), Fraction(1, 10))
 @example(("polylog3", 3, Fraction(1, 2)), Fraction(1, 10 ** 300))
 @example(("polylog2", 2, Fraction(-1, 2)), Fraction(1, 10))
 @example(("log1m", 1, Fraction(0)), Fraction(1, 10 ** 300))
@@ -344,7 +352,7 @@ def test_eval_certified_triples_equal_the_fraction_construction(point, width):
     assert (got._lo, got._hi, got._den) == (want._lo, want._hi, want._den)
 
 
-@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(0, 3), half_disk,
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), st.integers(1, 3), half_disk,
        st.integers(1, 300).map(lambda k: Fraction(1, 10 ** k)))
 @example("polylog3", 3, Fraction(1, 2), Fraction(1, 10 ** 300))
 @example("binom:1/2", 1, Fraction(-1, 10), Fraction(1, 10))
