@@ -60,10 +60,11 @@ class GFunctionSystem:
     """A concrete G-function system; see module docstring for the contract.
 
     `coeff(j, n)` gives f_{j,n} for the components j >= 1 only: component 0,
-    the constant 1, is supplied here.  Instances cache coefficients and
-    denominators internally and are not safe for concurrent mutation.  Besides
-    the caches, only `_build` (the `C`, `Dgrowth_sym` and `name` of a system
-    file) and verify_growth's monotone `verified_range` update write to one.
+    the constant 1, is supplied here.  Each component keeps one list f_{j,0},
+    f_{j,1}, ..., extended on demand; `series` returns a copy of its head.
+    Denominators are cached by n.  Instances are not safe for concurrent mutation.
+    Besides these stores, only `_build` (the `C`, `Dgrowth_sym` and `name` of a
+    system file) and verify_growth's monotone `verified_range` update write to one.
     """
 
     def __init__(self, name: str, N: int, coeff: Callable[[int, int], Fraction],
@@ -79,7 +80,7 @@ class GFunctionSystem:
         self.C = Fraction(C)
         self.Dgrowth_sym = Dgrowth_sym
         self.verified_range = 0
-        self._coeff_cache: dict[tuple[int, int], Fraction] = {}
+        self._coeffs: list[list[Fraction]] = [[] for _ in range(N + 1)]
         self._denom_cache: dict[int, int] = {}
         self._validate()
 
@@ -101,22 +102,27 @@ class GFunctionSystem:
 
     # -- coefficients and denominators -----------------------------------
 
-    def coefficient(self, j: int, n: int) -> Fraction:
-        """Taylor coefficient f_{j,n} of component j; component 0 is the constant 1."""
+    def _stored(self, j: int, order: int) -> list[Fraction]:
+        """Component j's stored list, extended to at least `order` coefficients."""
         if not (0 <= j <= self.N):
             raise PreconditionError(f"component {j} out of range 0..{self.N}")
-        if n < 0:
-            raise PreconditionError("coefficient index must be >= 0")
-        key = (j, n)
-        got = self._coeff_cache.get(key)
-        if got is None:
-            got = Fraction(self._coeff(j, n)) if j else Fraction(1 if n == 0 else 0)
-            self._coeff_cache[key] = got
+        got = self._coeffs[j]
+        for n in range(len(got), order):
+            got.append(Fraction(self._coeff(j, n)) if j else Fraction(1 if n == 0 else 0))
         return got
 
+    def coefficient(self, j: int, n: int) -> Fraction:
+        """Taylor coefficient f_{j,n} of component j; component 0 is the constant 1."""
+        if 0 <= j <= self.N and 0 <= n < len(self._coeffs[j]):
+            return self._coeffs[j][n]
+        got = self._stored(j, n + 1)
+        if n < 0:
+            raise PreconditionError("coefficient index must be >= 0")
+        return got[n]
+
     def series(self, j: int, order: int) -> list[Fraction]:
-        """f_{j,0} .. f_{j,order-1}: F_j known through z^(order-1)."""
-        return [self.coefficient(j, n) for n in range(order)]
+        """f_{j,0} .. f_{j,order-1}: F_j known through z^(order-1), as a new list."""
+        return self._stored(j, order)[:max(order, 0)]
 
     def denominator(self, n: int) -> int:
         """Common denominator d_n: d_n * f_{j,m} integral for all j, m <= n."""

@@ -3,9 +3,9 @@
 An IntervalReal [lo, hi] asserts lo <= x <= hi for the represented real x.
 It stores integer numerators over one positive denominator, not necessarily
 reduced, so arithmetic and comparisons run on ints; a gcd runs only where the
-endpoints are read as Fractions or rounded.  All endpoint arithmetic is exact;
-explicit `round_out` calls trade endpoint size for width, always outward, so
-containment is never lost.
+endpoints are read as Fractions, or in `round_sig` over a denominator not of the
+form 2^i 5^j.  All endpoint arithmetic is exact; `round_out` and `round_sig` trade
+endpoint size for width, always outward, so containment is never lost.
 """
 
 from __future__ import annotations
@@ -63,14 +63,18 @@ def _decimal_digits(n: int) -> int:
     return d + 1
 
 
-def round_down(f: Fraction, digits: int) -> Fraction:
-    """Largest multiple of 10^-digits that is <= f."""
-    scale = 10 ** digits
-    return Fraction(f.numerator * scale // f.denominator, scale)
-
-def round_up(f: Fraction, digits: int) -> Fraction:
-    scale = 10 ** digits
-    return Fraction(-((-f.numerator) * scale // f.denominator), scale)
+def _grid_gcd(n: int, den: int) -> int:
+    """gcd(n, den), den > 0: from the powers of 2 and 5 in n when den = 2^i 5^j (every
+    decimal grid and every product of them), so no big division runs; else math.gcd."""
+    i = (den & -den).bit_length() - 1
+    # 5^j has bit length floor(j log2 5) + 1, and 2321928094887362 / 10^15 < log2 5
+    j = -(-((den >> i).bit_length() - 1) * 10 ** 15 // 2321928094887362)
+    if n == 0 or den >> i != 5 ** j:
+        return gcd(n, den)
+    k = 0
+    while k < j and n % 5 == 0:
+        n, k = n // 5, k + 1
+    return 5 ** k << min(i, (n & -n).bit_length() - 1)
 
 
 # Fixed-point series sums carry this many units per unit of their last returned digit.  The walk's
@@ -266,11 +270,17 @@ class IntervalReal:
 
     def round_sig(self, sig: int) -> "IntervalReal":
         """Outward round keeping ~sig significant decimal digits.  The magnitude is read
-        from each endpoint in lowest terms: an unreduced pair's can be one off."""
-        def places(f: Fraction) -> int:
-            return max(0, sig - _decimal_digits(f.numerator) + _decimal_digits(f.denominator))
-        lo, hi = self.lo, self.hi
-        return IntervalReal(round_down(lo, places(lo)), round_up(hi, places(hi)))
+        from each endpoint in lowest terms (an unreduced pair's can be one off), and each
+        end is rounded at its own places, onto the finer of the two grids."""
+        def places(n: int) -> int:
+            g = _grid_gcd(n, self._den)
+            return max(0, sig - _decimal_digits(n // g) + _decimal_digits(self._den // g))
+        pl, ph = places(self._lo), places(self._hi)
+        if pl == ph:
+            return self.round_out(pl)
+        p = max(pl, ph)
+        return IntervalReal._of(self._lo * 10 ** pl // self._den * 10 ** (p - pl),
+                                -(-self._hi * 10 ** ph // self._den) * 10 ** (p - ph), 10 ** p)
 
     def intersect(self, other: "IntervalReal") -> "IntervalReal":
         g = gcd(self._den, other._den)
@@ -390,7 +400,7 @@ Producer = Callable[[int], IntervalReal]
 
 
 class CertifiedReal:
-    """A real number backed by a producer: digits -> enclosure of width <= 10^-digits.
+    """A real number backed by a producer: digits -> enclosure of width < 3/2 10^-digits.
 
     Successive enclosures are intersected, so refinement never widens.  No
     enclosure is produced beyond the precision cap.

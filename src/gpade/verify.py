@@ -47,10 +47,24 @@ def _check_point(sys: GFunctionSystem, j: int, z: Fraction) -> Fraction:
     return cz
 
 
-def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> IntervalReal:
-    """Interval of width <= `width` containing F_j(z), 1 <= j <= N, for C|z| < 1.
+def _term_count(tn: int, td: int, r: Fraction) -> tuple[int, int, int]:
+    """(M, tn u^M, td v^M) for the least M >= 0 with tn u^M <= td v^M, r = u/v in (0, 1), in
+    unit steps from a proved lower bound: log2(tn/td) > bl(tn) - bl(td) - 1 and 64 log2(v/u)
+    < bl(v^64) - bl(u^64) + 1 (bl = bit length), so 64 times the first over the second is < M."""
+    u, v = r.numerator, r.denominator
+    M = max(0, (tn.bit_length() - td.bit_length() - 1) * 64
+            // ((v ** 64).bit_length() - (u ** 64).bit_length() + 1))
+    tn, td = tn * u ** M, td * v ** M
+    while tn > td:
+        tn, td, M = tn * u, td * v, M + 1
+    return M, tn, td
 
-    Partial sum plus the geometric tail bound sum_{n>M} C^{n+1} |z|^n.
+
+def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> IntervalReal:
+    """Interval of width < 3/2 `width` containing F_j(z), 1 <= j <= N, for C|z| < 1.
+
+    Partial sum plus the geometric tail bound sum_{n>M} C^{n+1} |z|^n <= width/2 a side,
+    rounded out to a grid of step <= width/4, which can widen each end by almost a step.
     """
     z, width = Fraction(z), Fraction(width)
     if width <= 0:
@@ -61,10 +75,9 @@ def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> 
 
     # smallest M with tail = C * cz^{M+1} / (1 - cz) <= width/2, from tn / td = tail / (width/2)
     tail, target = sys.C * cz / (1 - cz), width / 2
-    tn, td, M = tail.numerator * target.denominator, tail.denominator * target.numerator, 0
-    while tn > td:
-        tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
-    s, sd = power_sum((sys.coefficient(j, n) for n in range(M + 1)), z)
+    M, tn, td = _term_count(tail.numerator * target.denominator,
+                            tail.denominator * target.numerator, cz)
+    s, sd = power_sum(sys.series(j, M + 1), z)
     # outward-round to keep endpoint sizes proportional to the request
     return enclose_sum(s, sd, tn * target.numerator, td * target.denominator, (-1, 1),
                        max(1, width_digits(width / 4)))

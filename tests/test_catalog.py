@@ -46,7 +46,8 @@ def test_ode_satisfied(log1m, polylog2, binom_half):
 
 def test_ode_detects_corruption(log1m):
     broken = resolve_system("log1m")
-    broken._coeff_cache[(1, 3)] = Fraction(1, 7)
+    broken.coefficient(1, 3)
+    broken._coeffs[1][3] = Fraction(1, 7)
     assert not broken.check_ode(10)
 
 
@@ -292,3 +293,35 @@ def test_file_fit_range_below_1_is_rejected(text):
     # a range of n = 0 alone once fitted and verified Dgrowth = 1 for binom[1/2], though d_1 = 2
     with pytest.raises(PreconditionError, match=r"^fit_range must be >= 1, got -?\d+$"):
         parse_system(text)
+
+
+def test_series_is_a_copy_of_the_store():
+    sys = resolve_system("polylog2")
+    want = [Fraction(0)] + [Fraction(1, n * n) for n in range(1, 102)]
+    # inside the stored list, then past it: the store grows to exactly the order asked
+    for order in (8, 100):
+        got = sys.series(2, order)
+        assert got == want[:order]
+        got[3] = Fraction(7)
+        got.append(Fraction(9))
+        sys.series(2, 3).clear()
+        assert sys.coefficient(2, 3) == Fraction(1, 9)
+        assert sys.series(2, order) == want[:order]
+    assert sys.series(2, 102) == want
+    assert sys.series(2, 0) == sys.series(2, -3) == []
+
+
+@pytest.mark.parametrize("spec", ["log1m", "polylog:1", "polylog3", "binom:1/2", "binom:7/4"])
+def test_stored_coefficients_are_the_family_coeff(spec):
+    """Every family, and its negation, on both sides of the stored length."""
+    base = resolve_system(spec)
+    for sys, sign in ((base, 1), (resolve_system(spec).negated(), -1)):
+        def coeff(j, n):
+            return Fraction(sign ** n * base._coeff(j, n)) if j else Fraction(n == 0)
+        for j in range(sys.N + 1):
+            sys.coefficient(j, 5)
+            stored = len(sys._coeffs[j])
+            for n in (0, stored // 2, stored + 1, stored + 2):
+                assert sys.coefficient(j, n) == coeff(j, n)
+            assert sys.series(j, stored + 8) == [coeff(j, n) for n in range(stored + 8)]
+            assert sys.series(j, stored // 2) == [coeff(j, n) for n in range(stored // 2)]

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpade.errors import PreconditionError
-from gpade.intervals import IntervalReal, Scalar, _decimal_digits, _frac, round_down, round_up
+from gpade.intervals import IntervalReal, Scalar, _decimal_digits, _frac
+from test_rounding_equivalence import round_down, round_up
 
 
 def round_sig_down(f: Fraction, sig: int) -> Fraction:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from gpade import CertifiedReal, IntervalReal, frac_nth_root, frac_pow, inth_root_floor
 from gpade.errors import InsufficientPrecisionError, PreconditionError
 from gpade.intervals import (DEFAULT_DIGIT_CAP, FIXED_GUARD, PRECISION_CAP, _decimal_digits,
-                             decide, precision_cap, round_down, round_fixed, round_up,
-                             series_walk, settle, width_digits)
+                             decide, precision_cap, round_fixed, series_walk, settle,
+                             width_digits)
+from test_rounding_equivalence import round_down, round_up
 
 fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpade import (
@@ -21,7 +21,7 @@ from gpade.pade import build_approximant
 from gpade.errors import NoConvergentTailBound, PreconditionError
 from gpade.intervals import width_digits
 from gpade.polynomial import power_sum
-from gpade.verify import _settled_nearest
+from gpade.verify import _settled_nearest, _term_count
 
 mpmath.mp.dps = 50
 
@@ -364,3 +364,70 @@ def test_eval_certified_at_minus_z_equals_the_negated_system_at_z(name, j, z, wi
     got = eval_certified(sys, j, -abs(z), width)
     want = eval_certified(sys.negated(), j, abs(z), width)
     assert (got._lo, got._hi, got._den) == (want._lo, want._hi, want._den)
+
+
+_BOUND_SYSTEMS = {name: resolve_system(name)
+                  for name in ("log1m", "polylog2", "polylog3", "binom:1/2", "binom:7/4")}
+
+
+def _scanned_term_count(sys, z: Fraction, width: Fraction) -> tuple[int, int, int]:
+    """The geometric scan that `_term_count` replaced, kept verbatim: one big
+    multiplication per term, from M = 0."""
+    cz = sys.C * abs(z)
+    tail, target = sys.C * cz / (1 - cz), width / 2
+    tn, td, M = tail.numerator * target.denominator, tail.denominator * target.numerator, 0
+    while tn > td:
+        tn, td, M = tn * cz.numerator, td * cz.denominator, M + 1
+    return M, tn, td
+
+
+@st.composite
+def _inside_points(draw, v_max: int):
+    """(system name, z) with C|z| = u/v < 1, v <= v_max, z of either sign."""
+    name = draw(st.sampled_from(sorted(_BOUND_SYSTEMS)))
+    v = draw(st.integers(2, v_max))
+    cz = Fraction(draw(st.integers(1, v - 1)), v)
+    return name, draw(st.sampled_from((1, -1))) * cz / _BOUND_SYSTEMS[name].C
+
+
+@given(_inside_points(10 ** 4), st.integers(1, 9), st.integers(0, 3000))
+@example(("log1m", Fraction(1, 2)), 1, 0)            # the bound is exact: M = 1 from 0
+@example(("polylog2", Fraction(1, 10)), 1, 100)      # M = 100 from 98
+@example(("log1m", Fraction(16, 19)), 1, 0)          # bound without its -1: 16 > M = 14
+@example(("log1m", Fraction(-99, 100)), 1, 40)       # 5,243 unit steps, from 4,448 to 9,691
+@example(("binom:7/4", Fraction(99, 800)), 1, 40)    # C = 8, C|z| = 99/100
+@example(("log1m", Fraction(1, 10)), 1, 3000)
+@example(("polylog3", Fraction(-1, 3)), 1, 3000)
+@settings(max_examples=80, deadline=None)
+def test_term_count_is_the_scanned_count(point, w, k):
+    name, z = point
+    sys, width = _BOUND_SYSTEMS[name], Fraction(w, 10 ** k)
+    cz = sys.C * abs(z)
+    u, v = cz.numerator, cz.denominator
+    # M <= bits v/(v - u) + 1, as log2(tn/td) < bits and log2(v/u) > (v - u)/v; the scan
+    # makes M big multiplications, so draws past 20,000 terms are left out
+    bits = 4 * k + (sys.C.numerator * v).bit_length() - (v - u).bit_length() + 2
+    assume(bits * v <= 20_000 * (v - u))
+    tail, target = sys.C * cz / (1 - cz), width / 2
+    got = _term_count(tail.numerator * target.denominator, tail.denominator * target.numerator, cz)
+    assert got == _scanned_term_count(sys, z, width)
+
+
+def test_eval_certified_width_exceeds_the_request():
+    # the tail takes width/2 a side and outward rounding adds up to two grid steps of
+    # at most width/4 each: the bound that holds is < 3/2 width, not width
+    width = Fraction(1, 10 ** 10)
+    assert eval_certified(_BOUND_SYSTEMS["polylog2"], 2, Fraction(3, 10), width).width \
+        == Fraction(11, 10) * width
+    assert eval_certified(_BOUND_SYSTEMS["log1m"], 1, Fraction(-99, 100), Fraction(1)) \
+        == IntervalReal(Fraction(1, 10), Fraction(6, 5))
+
+
+@given(_inside_points(100), st.integers(1, 3), st.integers(0, 39))
+@example(("polylog2", Fraction(3, 10)), 2, 10)
+@example(("log1m", Fraction(-99, 100)), 1, 0)
+@settings(max_examples=40, deadline=None)
+def test_eval_certified_width_is_under_three_halves_of_the_request(point, j, d):
+    name, z = point
+    sys, width = _BOUND_SYSTEMS[name], Fraction(1, 10 ** d)
+    assert eval_certified(sys, min(j, sys.N), z, width).width < Fraction(3, 2) * width
