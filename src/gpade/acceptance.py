@@ -3,6 +3,9 @@
 `run_suite` returns one report `Record` per check, whose status follows from
 its fields by the one rule of `Record.add`.  `gpade suite` renders the
 records, and the acceptance tests assert on them.
+
+The Pade grid decides its height and remainder cells on unnormalized integer
+pairs (`Poly.at` and the pair forms of `constants`): no cell builds a Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .catalog import GFunctionSystem, resolve_system
-from .constants import bound_height_Qk, bound_remainder, compute_constants
+from .constants import bound_height_pair, bound_remainder_pair, compute_constants
 from .derivation import iterate, zero_estimate_check
 from .digits import expand_digits, theorem2_convergent
 from .intervals import decide, frac_pow
@@ -87,14 +90,19 @@ def grid(quick: bool) -> list[tuple[str, int, int, int]]:
 
 def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
               remainders: bool) -> Record:
-    """Criteria 2-7: per-instance certificates, counted over the grid.
+    """Criteria 2-7: per-instance certificates, counted over the grid; the first five
+    failures of any kind are named.
 
-    The remainder bound |Q_k(z) F_j(z) - P_{j,k}(z)| <= bound is decided from
-    48 digits of F_j(z) up; a cell the precision cap leaves open is undecided.
-    Every cell at one (system, j, z) reads the one value of the grid's table.
+    A cell reads unnormalized integer pairs: the height bound is set up once per
+    instance, the remainder bound's z-free factor once per k.  The remainder bound
+    |Q_k(z) F_j(z) - P_{j,k}(z)| <= bound is decided by `decide` from 48 digits of
+    F_j(z) up, each rung compared exactly in integers (`IntervalReal.abs_affine_le`);
+    a cell the precision cap leaves open is undecided.  Every cell at one
+    (system, j, z) reads the one value of the grid's table.
     """
-    values = {(arg, j, z): value_producer(system, j, z) for arg, system in systems.items()
-              for j in range(1, system.N + 1) for z in (Z_POINTS if remainders else ())}
+    # values[arg][i][j - 1] is F_j(Z_POINTS[i]) of that system, or no row without remainders
+    values = {arg: [[value_producer(system, j, z) for j in range(1, system.N + 1)]
+                    for z in (Z_POINTS if remainders else ())] for arg, system in systems.items()}
     fails: Counter = Counter()
     undecided = 0
     first_failures: list[str] = []
@@ -108,25 +116,31 @@ def pade_grid(systems: dict, instances: list[tuple[str, int, int, int]],
         system = systems[arg]
         at = f"{arg} p={p} q={q} h={h}"
         approx = build_approximant(system, p, q, h)
-        fails["order"] += not (approx.Q.is_integral()
-                               and min(approx.order_certificates) >= p + h + 1)
-        fails["clearing"] += not approx.denominator_cleared
+        if not (approx.Q.is_integral() and min(approx.order_certificates) >= p + h + 1):
+            fail("order", f"order {at}")
+        if not approx.denominator_cleared:
+            fail("clearing", f"clearing {at}")
         if approx.siegel_ok is None:
             undecided += 1
         elif not approx.siegel_ok:
             fail("siegel", f"siegel {at}")
         fam = iterate(approx, system, max(system.N, h // system.d))
+        height_bound = bound_height_pair(approx, system)
         for cert in fam.certs[:h // system.d + 1]:
-            k = cert.k
+            k, Q = cert.k, fam.Q(cert.k)
             if not cert.ok:
                 fail("iteration", f"iterate {at} k={k}")
-            fails["height-bound"] += fam.Q(k).height() > bound_height_Qk(approx, system, k)
-            for z in Z_POINTS if remainders else ():
-                bound, Qz = bound_remainder(fam, system, k, z), fam.Q(k)(z)
-                for j in range(1, system.N + 1):
-                    value, Pz = values[arg, j, z], fam.P(j, k)(z)
-                    ok, _ = decide(lambda dg: abs(value.enclosure(dg) * Qz - Pz),
-                                   lambda iv: iv.le(bound), 48)
+            # H(Q_k) = height / Q.den against the bound hn / hd, cross-multiplied
+            height, (hn, hd) = max(map(abs, Q.num), default=0), height_bound(k)
+            if height * hd > hn * Q.den:
+                fail("height-bound", f"height {at} k={k}")
+            remainder_bound = bound_remainder_pair((height, Q.den), approx, system, k)
+            for z, row in zip(Z_POINTS, values[arg]):
+                Qz, bound = Q.at(z), remainder_bound(z)
+                for j, value in enumerate(row, 1):
+                    Pz = fam.P(j, k).at(z)
+                    ok, _ = decide(value.enclosure,
+                                   lambda iv: iv.abs_affine_le(Qz, Pz, bound), 48)
                     if ok is None:
                         undecided += 1
                     elif not ok:

@@ -3,10 +3,14 @@
 Two kinds of output live here.  The per-approximant bounds are exact
 rationals: the height bound for iterated numerators, which scales the Siegel
 factor the approximant already carries (`siegel_bound`, decided once in
-pade.assemble), and the geometric remainder bound.  The constant chain (chi,
-c1..c8, the schedule x, y, h, p, q, beta and the smallness hypothesis) mixes
-rationals with certified enclosures of e-powers and logarithms; every
-interval field contains its true real value and precision is user-settable.
+pade.assemble), and the geometric remainder bound.  Each formula lives once, in
+an integer-pair form (`bound_height_pair`, `bound_remainder_pair`) that reads
+the parts free of k or z once and returns unnormalized (numerator,
+denominator) ints; the public functions return the Fraction of that pair.
+The constant chain (chi, c1..c8, the schedule x, y, h, p, q, beta and the
+smallness hypothesis) mixes rationals with certified enclosures of e-powers and
+logarithms; every interval field contains its true real value and precision is
+user-settable.
 
 h0, h1, h2 are knobs, not derived: the sources they come from are effective
 but never instantiated numerically, so they enter only through
@@ -17,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .catalog import GFunctionSystem
 from .derivation import IteratedFamily
 from .errors import (HypothesisUnmetError, InsufficientPrecisionError,
                      PreconditionError)
-from .intervals import PRECISION_CAP, IntervalReal, _decimal_digits, decide, frac_pow, settle
+from .intervals import (PRECISION_CAP, IntervalReal, Pair, _decimal_digits, decide, frac_pow,
+                        settle)
 from .pade import PadeApproximant
 from .transcend import (EPower, exp_frac, exp_interval, le_epower, log2_enclosure, log_epower,
                         log_frac, log_interval)
@@ -51,17 +56,28 @@ def _require_verified(sys: GFunctionSystem, p: int, h: int) -> None:
             "run verify_growth first")
 
 
+def bound_height_pair(approx: PadeApproximant, sys: GFunctionSystem) -> Callable[[int], Pair]:
+    """bound_height_Qk at one approximant as k -> unnormalized ints (n, d): the k-free
+    parts, H(Dpoly) and the Siegel factor less 1, are read once."""
+    _require_verified(sys, approx.p, approx.h)
+    H, siegel = sys.D_poly.height(), approx.siegel_bound.hi - 1
+    hn, hd, sn, sd = H.numerator, H.denominator, siegel.numerator, siegel.denominator
+    e0, de = 2 * approx.q + 1, sys.d - 1
+
+    def at(k: int) -> Pair:
+        if k < 0:
+            raise PreconditionError("k must be >= 0")
+        return (hn ** k * sn) << (e0 + de * k), hd ** k * sd
+    return at
+
+
 def bound_height_Qk(approx: PadeApproximant, sys: GFunctionSystem, k: int) -> Fraction:
     """Rational upper bound 2^{2q+(d-1)k+1} H(Dpoly)^k (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}.
 
     The Siegel factor is the approximant's own enclosure of
     1 + (q (CD)^{p+h+1})^{Nh/(q+1-Nh)}, less 1 (exactly 1 when Nh = 0).
     """
-    if k < 0:
-        raise PreconditionError("k must be >= 0")
-    _require_verified(sys, approx.p, approx.h)
-    return (Fraction(2) ** (2 * approx.q + (sys.d - 1) * k + 1) * sys.D_poly.height() ** k
-            * (approx.siegel_bound.hi - 1))
+    return Fraction(*bound_height_pair(approx, sys)(k))
 
 
 def _height_Qk(fam_or_approx, k: int) -> Fraction:
@@ -74,22 +90,33 @@ def _height_Qk(fam_or_approx, k: int) -> Fraction:
     raise PreconditionError("expected PadeApproximant or IteratedFamily")
 
 
+def bound_remainder_pair(height: Pair, base: PadeApproximant, sys: GFunctionSystem,
+                         k: int) -> Callable[[Scalar], Pair]:
+    """bound_remainder at one k, for a Q_k of height n/d = `height`, as z -> unnormalized
+    ints (n, d): the z-free factor H(Q_k) (e+1) max(1,C)^e is multiplied out once."""
+    e, expo = base.q + k * (sys.d - 1), base.p + base.h + 1 - k
+    c = max(1, sys.C)
+    fn, fd = height[0] * (e + 1) * c.numerator ** e, height[1] * c.denominator ** e
+    cn, cd = sys.C.numerator, sys.C.denominator
+
+    def at(z: Scalar) -> Pair:
+        u, v = cn * abs(z.numerator), cd * z.denominator
+        if u >= v:
+            raise PreconditionError(f"need C|z| < 1, got {Fraction(u, v)}")
+        if u == 0:
+            return 0, 1
+        un, vn = (u ** expo, v ** expo) if expo >= 0 else (v ** -expo, u ** -expo)
+        return fn * un * v, fd * vn * (v - u)
+    return at
+
+
 def bound_remainder(fam_or_approx, sys: GFunctionSystem, k: int, z: Scalar) -> Fraction:
     """Rational bound on |Q_k F_j - P_{j,k}| at z, valid for every j, for C|z| < 1:
     H(Q_k) (e+1) max(1,C)^e (C|z|)^{p+h+1-k} / (1-C|z|), e = q+k(d-1), in integers."""
     base = fam_or_approx.base if isinstance(fam_or_approx, IteratedFamily) else fam_or_approx
-    p, q, h, d, C, z = base.p, base.q, base.h, sys.d, sys.C, Fraction(z)
-    u, v = C.numerator * abs(z.numerator), C.denominator * z.denominator
-    if u >= v:
-        raise PreconditionError(f"need C|z| < 1, got {Fraction(u, v)}")
     Hk = _height_Qk(fam_or_approx, k)
-    if u == 0:
-        return Fraction(0)
-    e, expo = q + k * (d - 1), p + h + 1 - k
-    c = max(1, C)
-    un, vn = (u ** expo, v ** expo) if expo >= 0 else (v ** -expo, u ** -expo)
-    return Fraction(Hk.numerator * (e + 1) * c.numerator ** e * un * v,
-                    Hk.denominator * c.denominator ** e * vn * (v - u))
+    at = bound_remainder_pair((Hk.numerator, Hk.denominator), base, sys, k)
+    return Fraction(*at(Fraction(z)))
 
 
 # -- the constant chain ------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -48,6 +48,7 @@ class DigitString:
     integer_part: int
     digits: tuple[int, ...]       # fractional digits a_1 a_2 ..., each in [0, base)
     certified_len: int
+    scaled: int = field(repr=False, compare=False)   # floor(value * base^certified_len)
     exact: bool = False           # expansion of an exact rational (terminating convention)
 
     def digit(self, i: int) -> int:
@@ -64,13 +65,11 @@ class DigitString:
         return " ".join(str(d) for d in self.digits[:n])
 
     def floor_scaled(self, i: int) -> int:
-        """floor(value * base^i) reconstructed from the certified digits."""
+        """floor(value * base^i), i <= certified_len (the integer part for i <= 0): the
+        stored floor at depth certified_len cut to i digits by one division."""
         if i > self.certified_len:
             raise InsufficientDigitsError("extend expansion")
-        out = self.integer_part
-        for k in range(i):
-            out = out * self.base + self.digits[k]
-        return out
+        return self.scaled // self.base ** (self.certified_len - max(i, 0))
 
 
 def _expand_exact(value: Fraction, base: int, count: int) -> DigitString:
@@ -113,7 +112,8 @@ def expand_digits(value: Value, base: int, count: int) -> DigitString:
 def _digits_from_floor(scaled_floor: int, base: int, count: int,
                        exact: bool = False) -> DigitString:
     integer_part, rest = divmod(scaled_floor, base ** count)
-    return DigitString(base, integer_part, tuple(_split_digits(rest, base, count)), count, exact)
+    return DigitString(base, integer_part, tuple(_split_digits(rest, base, count)), count,
+                       scaled_floor, exact)
 
 
 def _split_digits(x: int, base: int, n: int) -> list[int]:

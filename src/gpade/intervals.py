@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 from .errors import InsufficientPrecisionError, PreconditionError
 
 Scalar = Union[int, Fraction]
+Pair = tuple[int, int]
 
 DEFAULT_DIGIT_CAP = 4096
 
@@ -304,6 +305,19 @@ class IntervalReal:
     def le(self, other) -> Optional[bool]:
         (lo, hi, den), d = _parts(other), self._den
         return True if self._hi * den <= lo * d else False if self._lo * den > hi * d else None
+
+    def abs_affine_le(self, q: Pair, p: Pair, bound: Pair) -> Optional[bool]:
+        """abs(self * q - p).le(bound) for the points q = qn/qd, p and bound, each an
+        unnormalized int pair (n, d) with d > 0: the same endpoints, compared in one
+        pass of integer products, with no interval built."""
+        (qn, qd), (pn, pd), (bn, bd) = q, p, bound
+        den = self._den * qd
+        lo, hi = (self._lo, self._hi) if qn >= 0 else (self._hi, self._lo)
+        # self * q - p = [lo, hi] / (den pd); its absolute value runs from `near` to `far`
+        lo, hi = lo * qn * pd - pn * den, hi * qn * pd - pn * den
+        far, near = max(-lo, hi), lo if lo > 0 else -hi if hi < 0 else 0
+        r = bn * den * pd
+        return True if far * bd <= r else False if near * bd > r else None
 
     def decimal_str(self, digits: int = 12) -> str:
         """Outward-rounded decimal rendering 'lo..hi' (for reports)."""

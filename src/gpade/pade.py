@@ -49,11 +49,12 @@ def constraint_matrix(sys: GFunctionSystem, p: int, q: int, h: int) -> list[list
             row = []
             for k in range(q + 1):
                 c = sys.coefficient(j, n - k) if n - k >= 0 else Fraction(0)
-                scaled = c * scale
-                if scaled.denominator != 1:
+                # c is in lowest terms, so c * scale is an integer iff den(c) divides scale
+                cleared, rest = divmod(scale, c.denominator)
+                if rest:
                     raise PreconditionError(
                         f"d_{p + h} fails to clear f_{{{j},{n - k}}}; denominator oracle is wrong")
-                row.append(int(scaled))
+                row.append(c.numerator * cleared)
             rows.append(row)
     return rows
 

@@ -6,11 +6,13 @@ arithmetic works on ints and normalizes once per result; its `coeffs` is a
 read-only `fractions.Fraction` view.  `int_product` is the one product kernel,
 a convolution of integer coefficient lists: `Poly` multiplication,
 `truncated_product`, and `derivation`'s iterate recurrence and determinant all
-call it.  `power_sum` is the one exact series sum: `Poly` evaluation and F_j(z)
-sum with it, and exp and atanh when their fixed-point sum (intervals.series_walk)
-cannot round.  It adds a long series by binary splitting, and returns an
-unnormalized integer numerator and denominator, so a caller that rounds pays
-no gcd.  `cleared` puts a list of rationals over the lcm of their denominators.
+call it.  `Poly` evaluation is one Horner loop on the integer numerators,
+`Poly.at`, which returns an unnormalized integer pair; `Poly.__call__` is the
+Fraction of it.  `power_sum` is the one exact series sum: F_j(z) sums with it,
+and exp and atanh when their fixed-point sum (intervals.series_walk) cannot
+round.  It adds a long series by binary splitting, and returns an unnormalized
+integer numerator and denominator, so a caller that rounds pays no gcd.
+`cleared` puts a list of rationals over the lcm of their denominators.
 `truncated_product` is the one product of a `Poly` with a power series known
 to a finite order; a series is just its list of known (int or Fraction)
 coefficients.
@@ -192,9 +194,18 @@ class Poly:
             raise PreconditionError(f"z^{k} does not divide polynomial")
         return Poly._of(list(self.num[k:]), self.den)
 
+    def at(self, z: Scalar) -> tuple[int, int]:
+        """self(z), z = a/b, as the ints (s, den b^deg), unnormalized (den alone for the zero
+        polynomial): one Horner loop, s = sum of num[i] a^i b^(deg-i)."""
+        a, b = z.numerator, z.denominator
+        s, bp = (self.num[-1], 1) if self.num else (0, 1)
+        for c in self.num[-2::-1]:
+            bp *= b
+            s = s * a + c * bp
+        return s, self.den * bp
+
     def __call__(self, z: Scalar) -> Fraction:
-        s, d = power_sum(self.num, z)
-        return Fraction(s, d * self.den)
+        return Fraction(*self.at(z))
 
 
 def cleared(cs: Sequence[Scalar]) -> tuple[list[int], int]:

@@ -48,16 +48,31 @@ def _check_point(sys: GFunctionSystem, j: int, z: Fraction) -> Fraction:
 
 
 def _term_count(tn: int, td: int, r: Fraction) -> tuple[int, int, int]:
-    """(M, tn u^M, td v^M) for the least M >= 0 with tn u^M <= td v^M, r = u/v in (0, 1), in
-    unit steps from a proved lower bound: log2(tn/td) > bl(tn) - bl(td) - 1 and 64 log2(v/u)
-    < bl(v^64) - bl(u^64) + 1 (bl = bit length), so 64 times the first over the second is < M."""
+    """(M, tn u^M, td v^M) for the least M >= 0 with tn u^M <= td v^M, r = u/v in (0, 1).
+
+    The search starts from a proved lower bound: log2(tn/td) > bl(tn) - bl(td) - 1 and
+    64 log2(v/u) < bl(v^64) - bl(u^64) + 1 (bl = bit length), so 64 times the first over
+    the second is < M.  It gallops up in steps 1, 2, 4, ... to a passing count, then
+    bisects the last step, so it makes O(log M) big powers."""
     u, v = r.numerator, r.denominator
     M = max(0, (tn.bit_length() - td.bit_length() - 1) * 64
             // ((v ** 64).bit_length() - (u ** 64).bit_length() + 1))
     tn, td = tn * u ** M, td * v ** M
-    while tn > td:
-        tn, td, M = tn * u, td * v, M + 1
-    return M, tn, td
+    if tn <= td:
+        return M, tn, td
+    # gallop while M + step fails too; then M fails and M + step passes, with (hn, hd)
+    step, hn, hd = 1, tn * u, td * v
+    while hn > hd:
+        M, tn, td, step = M + step, hn, hd, 2 * step
+        hn, hd = tn * u ** step, td * v ** step
+    while step > 1:
+        step //= 2
+        mn, md = tn * u ** step, td * v ** step
+        if mn <= md:
+            hn, hd = mn, md
+        else:
+            M, tn, td = M + step, mn, md
+    return M + 1, hn, hd
 
 
 def eval_certified(sys: GFunctionSystem, j: int, z: Scalar, width: Fraction) -> IntervalReal:

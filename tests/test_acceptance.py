@@ -13,6 +13,7 @@ that bound at every cell again from the frozen Li_2(1/10) digits alone and
 requires the program to agree; the suite record pins the provable
 b-numerator bound.
 """
+import dataclasses
 import os
 import time
 from fractions import Fraction
@@ -124,6 +125,21 @@ def test_unsettled_remainder_is_undecided(log1m, monkeypatch):
     assert rec.fields["undecided"] == 3 * len(Z_POINTS)     # k = 0, 1, 2 and j = 1
     assert "first-failures" not in rec.fields
     assert rec.status == "indeterminate"
+
+
+def test_every_failure_is_named(log1m, monkeypatch):
+    # order, clearing and height failures are counted and their cells named, like the others
+    build = acceptance.build_approximant
+    monkeypatch.setattr(acceptance, "build_approximant", lambda *args: dataclasses.replace(
+        build(*args), order_certificates=[0], denominator_cleared=False))
+    monkeypatch.setattr(acceptance, "bound_height_pair", lambda approx, system: lambda k: (0, 1))
+    rec = acceptance.pade_grid({"log1m": log1m}, [("log1m", 3, 2, 2)], remainders=False)
+    assert (rec.fields["order-failures"], rec.fields["clearing-failures"],
+            rec.fields["height-bound-failures"]) == (1, 1, 3)
+    at = "log1m p=3 q=2 h=2"
+    assert rec.fields["first-failures"] == \
+        f"order {at}; clearing {at}; height {at} k=0; height {at} k=1; height {at} k=2"
+    assert rec.status == "violated"
 
 
 def test_pade_grid_makes_one_value_per_key(log1m, polylog2, monkeypatch):

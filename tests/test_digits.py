@@ -339,3 +339,24 @@ def test_expand_exact_equals_the_loop(base, count, value):
     expected = _digits_from_floor_loop(value.numerator * base ** count // value.denominator,
                                        base, count)
     assert (ds.integer_part, ds.digits) == expected and ds.exact
+
+
+def _floor_scaled_loop(ds, i: int) -> int:
+    """The digit-by-digit rebuild that one division by a power of the base replaced."""
+    out = ds.integer_part
+    for k in range(i):
+        out = out * ds.base + ds.digits[k]
+    return out
+
+
+@given(_scaled_floors(), st.lists(st.integers(0, 3000), max_size=8))
+@example((10, 64, -1), [])
+@example((2, 129, -(2 ** 129) + 5), [])
+@settings(max_examples=60, deadline=None)
+def test_floor_scaled_equals_the_loop(case, depths):
+    base, count, scaled_floor = case
+    ds = _digits_from_floor(scaled_floor, base, count)
+    for i in [-1, 0, 1, count - 1, count] + [min(i, count) for i in depths]:
+        assert ds.floor_scaled(i) == _floor_scaled_loop(ds, i), i
+    with pytest.raises(InsufficientDigitsError):
+        ds.floor_scaled(count + 1)

@@ -13,6 +13,7 @@ from gpade import (
     siegel_height_bound,
     truncated_product,
 )
+from gpade.catalog import resolve_system
 from gpade.errors import KernelVectorError, PreconditionError
 
 
@@ -32,6 +33,42 @@ def test_constraint_matrix_hand_example(log1m):
     # scaled by d_2 = 2:  2*(-1/2) v0 + 2*(-1) v1  ->  [-1, -2]
     m = constraint_matrix(log1m, 1, 1, 1)
     assert m == [[-1, -2]]
+
+
+def _fraction_constraint_matrix(sys, p, q, h):
+    """The Fraction products that the integer scaling replaced, kept as the reference."""
+    scale = sys.denominator(p + h)
+    rows = []
+    for j in range(1, sys.N + 1):
+        for n in range(p + 1, p + h + 1):
+            row = []
+            for k in range(q + 1):
+                c = sys.coefficient(j, n - k) if n - k >= 0 else Fraction(0)
+                scaled = c * scale
+                if scaled.denominator != 1:
+                    raise PreconditionError(
+                        f"d_{p + h} fails to clear f_{{{j},{n - k}}}; denominator oracle is wrong")
+                row.append(int(scaled))
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["log1m", "polylog2", "polylog3", "binom:1/2", "binom:7/4"])
+def test_constraint_matrix_equals_the_fraction_products(spec):
+    sys = resolve_system(spec)
+    shapes = [(p, q, h) for p in range(1, 12) for h in range(0, p // sys.N + 1)
+              for q in range(sys.N * h, p + 1) if q + 1 > sys.N * h]
+    for p, q, h in shapes:
+        assert constraint_matrix(sys, p, q, h) == _fraction_constraint_matrix(sys, p, q, h)
+
+
+def test_constraint_matrix_rejects_a_wrong_denominator(monkeypatch):
+    sys = resolve_system("log1m")
+    # rows n = 6, 7 read f_n = 1/n up to f_7 = 1/7, which a denominator of 120 does not clear
+    monkeypatch.setattr(sys, "denominator", lambda n: 6 * 5 * 4)
+    for build in (constraint_matrix, _fraction_constraint_matrix):
+        with pytest.raises(PreconditionError, match="denominator oracle is wrong"):
+            build(sys, 5, 3, 2)
 
 
 def test_hand_example_full_build(log1m):

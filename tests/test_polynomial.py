@@ -159,6 +159,31 @@ def test_poly_eval_equals_horner(coeffs, z):
     assert p(z.numerator) == _horner(p.coeffs, Fraction(z.numerator))
 
 
+big_coeffs = st.one_of(
+    st.integers(-10 ** 60, 10 ** 60), fractions,
+    st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 40)))
+
+
+@given(st.lists(st.one_of(st.just(0), big_coeffs), max_size=12),
+       st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9)))
+@example([], Fraction(3, 7))                           # the zero polynomial
+@example([0, 0], Fraction(-2, 5))                      # zero after trailing zeros are cut
+@example([5, -2, 7], Fraction(0))                      # z = 0
+@example([10 ** 60, -(10 ** 60), 1], Fraction(-1, 3))
+@example([Fraction(1, 10 ** 40), 3], Fraction(10 ** 9, 7))
+@settings(max_examples=300, deadline=None)
+def test_poly_at_is_the_unnormalized_sum(coeffs, z):
+    # Horner's pair is (sum of c_i z^i) over den b^deg, unnormalized, and __call__ is its Fraction
+    p = Poly(coeffs)
+    expected = sum((Fraction(c) * z ** i for i, c in enumerate(coeffs)), Fraction(0))
+    s, d = p.at(z)
+    assert Fraction(s, d) == p(z) == expected
+    assert d == p.den * z.denominator ** max(p.degree(), 0)
+    # an int z is its own numerator over 1
+    a = z.numerator
+    assert Fraction(*p.at(a)) == p(a) == sum(Fraction(c) * a ** i for i, c in enumerate(coeffs))
+
+
 def _sequential_power_sum(coeffs, z):
     """The one-loop `power_sum` that summation by halves replaced, kept as the
     reference: one growing product per term."""
