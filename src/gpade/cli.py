@@ -184,7 +184,7 @@ def cmd_verify(args) -> list[Record]:
     rec = Record("diophantine-bound", {
         "system": rep.system_name, **{k: getattr(rep, k) for k in ("a", "b", "B", "m", "n", "j")},
         "rhs-exponent": rep.rhs_exponent,
-        "rhs": rep.rhs if rep.rhs.denominator < 10 ** RHS_EXACT_DIGITS
+        "rhs": rep.rhs if rep.rhs_denominator.below_power_of_ten(RHS_EXACT_DIGITS)
         else f"1/({rep.B}*{rep.b}^{rep.m}*{abs(rep.a) + 1}^{rep.rhs_exponent})"})
     rec.add("lhs", rep.lhs, rep.status)
     rec.add("hypothesis-ok", rep.hypothesis_ok)

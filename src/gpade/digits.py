@@ -180,17 +180,22 @@ def theorem2_convergent(ds: DigitString, value: Value, t: int, n: int) -> BlockC
     bound_relaxed = Fraction(b, b ** (n + t * count))
 
     target = Fraction(p_n, q_n)
+
+    def verdicts(iv: IntervalReal) -> tuple[Optional[bool], Optional[bool]]:
+        return iv.le(bound), iv.le(bound_relaxed)
+
     if isinstance(value, (int, Fraction)):
         iv = IntervalReal.point(abs(Fraction(value) - target))
+        pair = verdicts(iv)
     else:
-        # the enclosures are nested, so a bound decided once stays decided
-        _, iv = decide(lambda dg: abs(value.enclosure(dg) - target),
-                       lambda iv: None not in (iv.le(bound), iv.le(bound_relaxed)) or None,
-                       24)
+        # the enclosures are nested, so a bound decided once stays decided; a cell the
+        # cap leaves open keeps whichever bound its last enclosure settles
+        pair, iv = decide(lambda dg: abs(value.enclosure(dg) - target),
+                          lambda iv: None if None in (v := verdicts(iv)) else v, 24)
+        pair = pair or verdicts(iv)
     return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
                            bound=bound, bound_relaxed=bound_relaxed,
-                           holds=iv.le(bound), holds_relaxed=iv.le(bound_relaxed),
-                           distance=iv)
+                           holds=pair[0], holds_relaxed=pair[1], distance=iv)
 
 
 @dataclass

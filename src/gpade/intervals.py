@@ -306,6 +306,13 @@ class IntervalReal:
         (lo, hi, den), d = _parts(other), self._den
         return True if self._hi * den <= lo * d else False if self._lo * den > hi * d else None
 
+    def ge_reciprocal(self, x: "PowerProduct") -> Optional[bool]:
+        """self.ge(Fraction(1, X)) for the integer X that `x` holds in closed form: each end
+        is compared with 1/X from x's bit-length bounds, and X is built only where they
+        cannot tell."""
+        d = self._den
+        return True if x.sign(self._lo, d) >= 0 else False if x.sign(self._hi, d) < 0 else None
+
     def abs_affine_le(self, q: Pair, p: Pair, bound: Pair) -> Optional[bool]:
         """abs(self * q - p).le(bound) for the points q = qn/qd, p and bound, each an
         unnormalized int pair (n, d) with d > 0: the same endpoints, compared in one
@@ -327,6 +334,50 @@ class IntervalReal:
             s = str(abs(n)).rjust(digits + 1, "0")
             return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
         return f"{fmt(r._lo)}..{fmt(r._hi)}"
+
+
+class PowerProduct:
+    """The integer X = s c^e, s, c >= 1, e >= 0, in closed form.  As bl(y) - 1 <= log2 y <
+    bl(y) (bl = bit length), 64 log2 X lies in [lo64, hi64) with lo64 = 64 (bl(s) - 1) +
+    e (bl(c^64) - 1) and hi64 = 64 bl(s) + e bl(c^64).  A comparison those bounds settle
+    builds no X; X is built once, when they cannot, and kept."""
+
+    __slots__ = ("s", "c", "e", "lo64", "hi64", "_value")
+
+    def __init__(self, s: int, c: int, e: int):
+        k = (c ** 64).bit_length()
+        self.s, self.c, self.e = s, c, e
+        self.lo64 = 64 * (s.bit_length() - 1) + e * (k - 1)
+        self.hi64 = 64 * s.bit_length() + e * k
+        self._value: Optional[int] = None
+
+    def value(self) -> int:
+        """X itself, built on the first call."""
+        if self._value is None:
+            self._value = self.s * self.c ** self.e
+        return self._value
+
+    def sign(self, n: int, d: int) -> int:
+        """The sign of n X - d for d > 0."""
+        if n <= 0:
+            return -1
+        # 64 log2(n X) lies in [nl - 64 + lo64, nl + hi64), 64 log2 d in [dl - 64, dl)
+        nl, dl = 64 * n.bit_length(), 64 * d.bit_length()
+        if nl - 64 + self.lo64 >= dl:
+            return 1
+        if nl + self.hi64 <= dl - 64:
+            return -1
+        nx = n * self.value()
+        return (nx > d) - (nx < d)
+
+    def below_power_of_ten(self, r: int) -> bool:
+        """X < 10^r, r >= 0, with no 10^r built: 10^15 log2 10 lies in (L, L + 1),
+        L = 3321928094887362."""
+        if self.hi64 * 10 ** 15 <= 64 * r * 3321928094887362:
+            return True
+        if self.lo64 * 10 ** 15 >= 64 * r * 3321928094887363:
+            return False
+        return self.value() < 10 ** r
 
 
 def frac_nth_root(f: Fraction, n: int, digits: int) -> IntervalReal:

@@ -3,11 +3,13 @@ inequality chain: the nonzero integer witness xi, the remainder-smallness
 check, and the resulting lower bounds on |F(a/b) - n/(B b^m)|.
 
 The headline inequality (distance >= 1/(B b^m (|a|+1)^{c4 m})) is certified by
-interval evaluation.  Its proof chain is replayed in "property mode" at
-desk-scale (p, q, h): the hypotheses on b are astronomically large for any
-interesting system, so property mode verifies the chain's inequalities
-directly (exact remainder-smallness at the chosen parameters) instead of
-pretending the schedule applies.  The Corollary is checked on the Theorem 1
+interval evaluation, against the closed form of its right-hand side: the integer
+B b^m (|a|+1)^{floor(c4 m)} has 10^5 to 10^7 digits, and it is built only when
+bit-length bounds on its logarithm cannot settle a comparison.  Its proof chain
+is replayed in "property mode" at desk-scale (p, q, h): the hypotheses on b are
+astronomically large for any interesting system, so property mode verifies the
+chain's inequalities directly (exact remainder-smallness at the chosen
+parameters) instead of pretending the schedule applies.  The Corollary is checked on the Theorem 1
 instance: it reads the constants, t and the value off verify_theorem1's report.
 
 F_j is evaluated at the signed point a/b, and each call decides on the one
@@ -19,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .catalog import GFunctionSystem
 from .constants import ConstantsReport, compute_constants, eps_threshold
 from .derivation import IteratedFamily, ell0_bound, find_nonvanishing_index, iterate
 from .errors import InternalCertificateError, NoConvergentTailBound, PreconditionError
-from .intervals import CertifiedReal, IntervalReal, decide, enclose_sum, frac_pow, settle, \
-    width_digits
+from .intervals import CertifiedReal, IntervalReal, PowerProduct, decide, enclose_sum, frac_pow, \
+    settle, width_digits
 from .pade import build_approximant
 from .polynomial import power_sum
 from .report import TRISTATE_STATUS
@@ -194,8 +196,7 @@ class VerifyReport:
     n: int
     j: int
     lhs: IntervalReal
-    rhs: Fraction
-    rhs_exponent: int            # rhs ~ 1/(B b^m (|a|+1)^rhs_exponent)
+    rhs_exponent: int            # rhs = 1/(B b^m (|a|+1)^rhs_exponent)
     status: str                  # certified | violated | indeterminate
     constants: ConstantsReport
     hypothesis_ok: Optional[bool]   # hyp_b_ok, hyp_m_ok and not desk-scale; None when undecided
@@ -206,11 +207,23 @@ class VerifyReport:
     def holds(self) -> bool:
         return self.status == "certified"
 
+    @property
+    def rhs_denominator(self) -> PowerProduct:
+        """B b^m (|a|+1)^rhs_exponent in closed form."""
+        return PowerProduct(self.B * self.b ** self.m, abs(self.a) + 1, self.rhs_exponent)
 
-def _decide_distance(value: CertifiedReal, offset: Fraction, threshold: Fraction,
+    @property
+    def rhs(self) -> Fraction:
+        """The exact bound 1/(B b^m (|a|+1)^rhs_exponent), built on each call."""
+        return Fraction(1, self.rhs_denominator.value())
+
+
+def _decide_distance(value: CertifiedReal, offset: Fraction,
+                     ge: Callable[[IntervalReal], Optional[bool]],
                      start: int = 24) -> tuple[Optional[bool], IntervalReal]:
-    """Decide |value - offset| >= threshold by escalation; None at the cap."""
-    return decide(lambda dg: abs(value.enclosure(dg) - offset), lambda iv: iv.ge(threshold), start)
+    """Decide |value - offset| >= a threshold, the verdict `ge`, by escalation; None at
+    the cap."""
+    return decide(lambda dg: abs(value.enclosure(dg) - offset), ge, start)
 
 
 def _ceil_log(B: int, b: int) -> int:
@@ -246,16 +259,16 @@ def verify_theorem1(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int
     hyp_ok = False if not constants.hyp_b_ok or constants.desk_scale or hyp_m is False else hyp_m
 
     exp_floor = (constants.c4.lo * m).numerator // (constants.c4.lo * m).denominator
-    rhs = Fraction(1, B * b ** m * (abs(a) + 1) ** exp_floor)
-
-    offset = Fraction(n, B * b ** m)
-    ok, lhs_iv = _decide_distance(value, offset, rhs, max(16, digits // 2))
+    scale = B * b ** m
+    rhs_den = PowerProduct(scale, abs(a) + 1, exp_floor)
+    ok, lhs_iv = _decide_distance(value, Fraction(n, scale), lambda iv: iv.ge_reciprocal(rhs_den),
+                                  max(16, digits // 2))
 
     chain = None if pqh is None else replay_chain(sys if a > 0 else sys.negated(), abs(a), b,
                                                   B, m, n, j, pqh, value)
 
     return VerifyReport(system_name=sys.name, a=a, b=b, B=B, m=m, n=n, j=j,
-                        lhs=lhs_iv, rhs=rhs, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],
+                        lhs=lhs_iv, rhs_exponent=exp_floor, status=TRISTATE_STATUS[ok],
                         constants=constants, hypothesis_ok=hyp_ok, value=value, chain=chain)
 
 
@@ -305,7 +318,7 @@ def replay_chain(sys: GFunctionSystem, a: int, b: int, B: int, m: int, n: int,
         raise InternalCertificateError("Q_k(a/b) = 0 after remainder-smallness held")
     bound17 = Fraction(1, dd * b ** scale_exp) / (2 * B * abs(Qk_val))
     offset = Fraction(n, B * b ** m)
-    st17, _ = _decide_distance(value, offset, bound17)
+    st17, _ = _decide_distance(value, offset, lambda iv: iv.ge(bound17))
 
     return ChainReplay(p=p, q=q, h=h, k=k, witness=witness, eq_remainder_small=st16,
                        eq_balance=st15, eq_distance=st17, distance_lower=bound17)
@@ -356,6 +369,6 @@ def corollary_bound_check(sys: GFunctionSystem, a: int, b: int, B: int, m: int, 
     # b > (|a|+1)^{2 c4 / eps}: compare log b against (2 c4 / eps) log(|a|+1)
     hyp_b = eps_threshold(thm1.constants, eps, digits).lt(log_frac(Fraction(b), digits))
     rhs = frac_pow(Fraction(1, b), m * (1 + eps), digits).hi
-    ok, lhs_iv = _decide_distance(thm1.value, Fraction(n, B * b ** m), rhs)
+    ok, lhs_iv = _decide_distance(thm1.value, Fraction(n, B * b ** m), lambda iv: iv.ge(rhs))
     return CorollaryReport(eps=eps, rhs=rhs, status=TRISTATE_STATUS[ok], hyp_b_ok=hyp_b,
                            hyp_m_ok=m >= 2 * thm1.constants.t / eps, lhs=lhs_iv)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from gpade import (
     theorem2_convergent,
     value_producer,
 )
-from gpade.digits import _digits_from_floor, _expand_exact
+from gpade.digits import BlockConvergent, _digits_from_floor, _expand_exact
 from gpade.errors import InsufficientDigitsError, PreconditionError
-from gpade.intervals import decide, precision_cap, settled_floor, width_digits
+from gpade.intervals import DEFAULT_DIGIT_CAP, decide, precision_cap, settled_floor, width_digits
 
 
 def test_exact_expansion_terminating():
@@ -206,6 +207,54 @@ def test_theorem2_convergent_denominator_shape():
     assert bc.count == 1
     # p_n reproduces the digits: floor identity p_n = (b^t-1) floor(b^{n-1} x) + block
     assert bc.p_n == (10**3 - 1) * 9 + 876
+
+
+def _theorem2_convergent_reference(ds, value, t, n):
+    """theorem2_convergent as it was before its verdict returned both bounds: it decided
+    both inside `decide`, then compared the last enclosure with each bound again."""
+    count = repetition_count(ds, t, n)
+    b = ds.base
+    q_n = b ** (n - 1) * (b ** t - 1)
+    head = ds.floor_scaled(n - 1) if n > 1 else ds.integer_part
+    tail = 0
+    for i in range(t):
+        tail = tail * b + ds.digit(n + i)
+    p_n = (b ** t - 1) * head + tail
+    bound = Fraction(b - 1, b ** (n + t * count))
+    bound_relaxed = Fraction(b, b ** (n + t * count))
+
+    target = Fraction(p_n, q_n)
+    if isinstance(value, (int, Fraction)):
+        iv = IntervalReal.point(abs(Fraction(value) - target))
+    else:
+        _, iv = decide(lambda dg: abs(value.enclosure(dg) - target),
+                       lambda iv: None not in (iv.le(bound), iv.le(bound_relaxed)) or None,
+                       24)
+    return BlockConvergent(t=t, n=n, count=count, p_n=p_n, q_n=q_n,
+                           bound=bound, bound_relaxed=bound_relaxed,
+                           holds=iv.le(bound), holds_relaxed=iv.le(bound_relaxed),
+                           distance=iv)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_DIGIT_CAP, 283])
+def test_theorem2_convergent_equals_the_reference_on_the_suite_cells(polylog2, cap):
+    # the suite's 900 cells, each on a fresh value in the same order, so both escalate alike;
+    # cap 283 leaves 54 cells open on both bounds and 3 on the strict bound alone
+    ds = expand_digits(value_producer(polylog2, 2, Fraction(1, 10)), 10, 1000)
+    cells = [(t, n) for t in (1, 2, 3) for n in range(1, 301)]
+    got, want = [], []
+    for out, convergent in ((got, theorem2_convergent), (want, _theorem2_convergent_reference)):
+        value = value_producer(polylog2, 2, Fraction(1, 10))
+        with precision_cap(cap):
+            out.extend(convergent(ds, value, t, n) for t, n in cells)
+    assert got == want
+    open_cells = Counter((c.holds is None, c.holds_relaxed is None) for c in got)
+    assert open_cells == ({(False, False): 900} if cap == DEFAULT_DIGIT_CAP else
+                          {(False, False): 843, (True, True): 54, (True, False): 3})
+    # an exact value takes the point path
+    x = Fraction(987654321, 10 ** 9)
+    assert theorem2_convergent(expand_digits(x, 10, 9), x, 3, 2) == \
+        _theorem2_convergent_reference(expand_digits(x, 10, 9), x, 3, 2)
 
 
 def test_li2_digit_expansion_against_oracle(polylog2, li2_digits_600):
